@@ -20,15 +20,16 @@ def mcs_order(g: Graph, start: int = 0) -> list[int]:
 
     Buckets of unvisited vertices keyed by visited-neighbor count, with
     lazy deletion; ties broken by most recent bucket insertion, which is
-    a valid (if arbitrary) MCS tie-break.  Requires a connected graph.
+    a valid (if arbitrary) MCS tie-break.  Requires a connected graph:
+    on disconnected input the buckets run dry before every vertex is
+    visited, which raises DisconnectedGraphError without a separate
+    connectivity pass.
     """
     n = g.n
     if n == 0:
         return []
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} out of range")
-    if not is_connected(g):
-        raise DisconnectedGraphError("MCS requires a connected graph")
     adj = g.adj
     count = [0] * n
     visited = bytearray(n)
@@ -49,8 +50,8 @@ def mcs_order(g: Graph, start: int = 0) -> list[int]:
                 maxc -= 1
             bucket = buckets[maxc]
             if not bucket:
-                # Unreachable on connected input (guarded above).
-                raise DisconnectedGraphError("MCS ran out of labeled vertices")
+                # Every labeled vertex is visited: the rest is unreachable.
+                raise DisconnectedGraphError("MCS requires a connected graph")
             cand = bucket.pop()
             if not visited[cand] and count[cand] == maxc:
                 v = cand
@@ -96,27 +97,26 @@ def peo_violation(g: Graph, order) -> tuple[int, int, int] | None:
     edge (so {v} + later neighbors is not a clique).
     """
     n = g.n
+    adj = g.adj
     pos = _position_map(order, n)
-    # to_check[u] accumulates (v, x) pairs requiring x to be a later neighbor of u.
-    to_check: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # One pass: u must absorb the rest of v's later neighborhood.  Only
+    # failing vertices are kept, so a PEO allocates nothing per vertex.
+    failing = []
     for v in order:
         pv = pos[v]
-        later = [w for w in g.adj[v] if pos[w] > pv]
+        later = [w for w in adj[v] if pos[w] > pv]
         if len(later) <= 1:
             continue
         u = min(later, key=pos.__getitem__)
-        bucket = to_check[u]
-        for x in later:
-            if x != u:
-                bucket.append((v, x))
-    for u in range(n):
-        if not to_check[u]:
-            continue
-        adj_u = g.adj[u]
-        for v, x in to_check[u]:
-            if x not in adj_u:
-                return (v, u, x)
-    return None
+        if len(adj[u].intersection(later)) != len(later) - 1:
+            failing.append((u, v, later))
+    if not failing:
+        return None
+    # The reported witness: smallest u, then earliest v in the order, then
+    # the first missing x in v's adjacency.
+    u, v, later = min(failing, key=lambda f: f[0])
+    adj_u = adj[u]
+    return v, u, next(x for x in later if x != u and x not in adj_u)
 
 
 def clique_tree(g: Graph, order: list[int] | None = None) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
@@ -182,9 +182,9 @@ def recognize_chordal(g: Graph) -> list[int] | None:
 
     The candidate PEO is the reversed MCS order (chordal iff it passes
     the elimination test).  Use `chordal_hole` for a refusal certificate.
+    Raises DisconnectedGraphError (from `mcs_order`) on disconnected
+    input.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("chordality recognition needs a connected graph")
     if g.n == 0:
         return []
     order = list(reversed(mcs_order(g)))

@@ -8,8 +8,9 @@ offending line number.  CNF files are DIMACS.
 
 Every subcommand accepts --json and then emits a single structured
 document with stable field names.  Exit status is 0 for any computed
-answer (including "no"/"invalid"), 1 for guard or internal errors, 2
-for malformed input.
+answer (including "no"/"invalid"), 1 when a size guard is exceeded or
+a recursive step runs out of interpreter stack (a one-line message, no
+traceback), 2 for malformed input.
 """
 
 from __future__ import annotations
@@ -410,6 +411,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except GuardExceededError as exc:
         print(f"error: {exc} (raise the guard flag to proceed)", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input too large for a recursive step (interpreter recursion limit reached)",
+              file=sys.stderr)
         return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

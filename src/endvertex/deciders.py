@@ -2,19 +2,21 @@
 contracts, plus a dispatcher that routes (graph class, search kind) to
 the strongest applicable characterization.
 
-The deciders trust their class precondition by default so the linear
-bound holds; pass verify_class=True (desk scale) or go through
-`dispatch_endvertex`, which recognizes classes first.
+The public deciders check connectivity, and their class where a linear
+check exists (chordal, split); unit interval and (claw, net)-free
+membership is checked only with verify_class=True (desk scale).  The
+private `_*_explain` helpers assume every precondition:
+`dispatch_endvertex` establishes connectivity and each class once, with
+its certificate, and calls them directly.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .chordal import clique_tree, recognize_chordal
-from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError
+from .chordal import recognize_chordal
+from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError, NotChordalError
 from .graph import Graph, cut_vertices, induced_subgraph, is_connected, is_inclusion_chain, is_simplicial
 from .oracle import SET_STATE_KINDS, is_endvertex_exhaustive
 from .recognize import (
@@ -42,26 +44,61 @@ class Verdict(Enum):
 def decide_mns_chordal(g: Graph, t: int) -> bool:
     """t is an MNS end-vertex of a connected chordal graph iff t is
     simplicial and the minimal separators inside N(t) form an inclusion
-    chain.  O(n + m)."""
+    chain.  Those separators are exactly the sets N(C), one per
+    component C of G - N[t], so one search over G - N[t] finds them and
+    no clique tree is built.  O(n + m), the chordality check included;
+    raises NotChordalError on non-chordal input."""
+    _check_target(g, t)
+    if recognize_chordal(g) is None:  # raises on disconnected input
+        raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
     ok, _ = _mns_chordal_explain(g, t)
     return ok
 
 
 def _mns_chordal_explain(g: Graph, t: int, name_of=str) -> tuple[bool, str | None]:
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
-    # Straight to the clique-tree edge separators: the sorted public
-    # wrapper is unnecessary on this hot path.
-    _, tree_edges = clique_tree(g)  # raises on disconnected / non-chordal
+    """Assumes g connected and chordal."""
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
-    nt = g.adj[t]
-    inside = list({sep for _, _, sep in tree_edges if sep and sep <= nt})
+    inside = list(set(_outside_component_neighborhoods(g, t)))
     if is_inclusion_chain(inside):
         return True, None
     pair = _incomparable_pair(inside)
     return False, (f"minimal separators {_fmt(pair[0], name_of)} and {_fmt(pair[1], name_of)} "
                    f"inside N({name_of(t)}) are inclusion-incomparable")
+
+
+def _outside_component_neighborhoods(g: Graph, t: int) -> list[frozenset]:
+    """N(C) for each component C of G - N[t], one entry per component.
+
+    Each N(C) lies in N(t) and is a minimal separator (C and the
+    component holding t are both full for it); conversely a minimal
+    separator S inside N(t) has a full component away from t that
+    cannot meet N(t), i.e. a component C of G - N[t] with N(C) = S.
+    One labelling pass, O(n + m)."""
+    adj = g.adj
+    n = g.n
+    # 0 = unseen outside N[t], 1 = t or already labelled, 2 = in N(t).
+    mark = bytearray(n)
+    mark[t] = 1
+    for v in adj[t]:
+        mark[v] = 2
+    found = []
+    for s in range(n):
+        if mark[s]:
+            continue
+        mark[s] = 1
+        boundary = set()
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                m = mark[w]
+                if not m:
+                    mark[w] = 1
+                    stack.append(w)
+                elif m == 2:
+                    boundary.add(w)
+        found.append(frozenset(boundary))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +110,18 @@ def decide_mcs_split(g: Graph, t: int) -> bool:
     simplicial and the neighborhoods of all strictly lower-degree
     vertices form an inclusion chain.  Counting sort by degree plus a
     stamped marking array keep this O(n + m)."""
+    _check_target(g, t)
+    if not is_connected(g):
+        raise DisconnectedGraphError("split decider requires a connected graph")
+    if not is_split(g):
+        raise ClassMismatchError("graph is not split")
     ok, _ = _mcs_split_explain(g, t)
     return ok
 
 
 def _mcs_split_explain(g: Graph, t: int, name_of=str) -> tuple[bool, str | None]:
+    """Assumes g connected and split."""
     n = g.n
-    if not 0 <= t < n:
-        raise ValueError(f"vertex {t} out of range")
-    if not is_connected(g):
-        raise DisconnectedGraphError("split decider requires a connected graph")
-    if not is_split(g):
-        raise ClassMismatchError("graph is not split")
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
     deg_t = len(g.adj[t])
@@ -121,18 +158,17 @@ def decide_unit_interval(g: Graph, t: int, verify_class: bool = False) -> bool:
     """End-vertex status of t on a connected unit interval graph, valid
     simultaneously for MNS, MCS and LDFS: t is simplicial and G - N[t]
     is connected (or empty).  O(n + m) with verification off."""
-    ok, _ = _unit_interval_explain(g, t, verify_class)
-    return ok
-
-
-def _unit_interval_explain(g: Graph, t: int, verify_class: bool = False,
-                           name_of=str) -> tuple[bool, str | None]:
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
+    _check_target(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError("unit interval decider requires a connected graph")
     if verify_class and recognize_unit_interval(g) is None:
         raise ClassMismatchError("graph is not unit interval")
+    ok, _ = _unit_interval_explain(g, t)
+    return ok
+
+
+def _unit_interval_explain(g: Graph, t: int, name_of=str) -> tuple[bool, str | None]:
+    """Assumes g connected and unit interval."""
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
     if _connected_outside_closed_neighborhood(g, t):
@@ -141,24 +177,8 @@ def _unit_interval_explain(g: Graph, t: int, verify_class: bool = False,
 
 
 def _connected_outside_closed_neighborhood(g: Graph, t: int) -> bool:
-    banned = g.adj[t] | {t}
-    n = g.n
-    rest = n - len(banned)
-    if rest == 0:
-        return True  # empty remainder counts as connected
-    seed = next(v for v in range(n) if v not in banned)
-    seen = bytearray(n)
-    seen[seed] = 1
-    queue = deque([seed])
-    reached = 1
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if not seen[w] and w not in banned:
-                seen[w] = 1
-                reached += 1
-                queue.append(w)
-    return reached == rest
+    # An empty remainder counts as connected.
+    return len(_outside_component_neighborhoods(g, t)) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +188,7 @@ def _connected_outside_closed_neighborhood(g: Graph, t: int) -> bool:
 def decide_dfs_claw_net_free(g: Graph, t: int, verify_class: bool = False) -> bool:
     """On a connected (claw, net)-free graph, t is a DFS end-vertex iff
     t is not a cut vertex.  O(n + m) with verification off."""
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
+    _check_target(g, t)
     if verify_class and not is_claw_net_free(g):
         raise ClassMismatchError("graph contains an induced claw or net")
     return t not in cut_vertices(g)
@@ -179,10 +198,14 @@ def decide_dfs_interval(g: Graph, t: int, subset_guard: int = 20) -> bool:
     """On a connected interval graph, t is a DFS end-vertex iff the
     subgraph induced by N(t), taken as one graph, has a hamiltonian
     path."""
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
+    _check_target(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError("interval DFS decider requires a connected graph")
+    return _dfs_interval(g, t, subset_guard)
+
+
+def _dfs_interval(g: Graph, t: int, subset_guard: int = 20) -> bool:
+    """Assumes g connected and interval."""
     sub, _ = induced_subgraph(g, g.adj[t])
     return hamiltonian_path(sub, guard=subset_guard) is not None
 
@@ -252,10 +275,14 @@ def mcs_interval_sufficient(g: Graph, order: CliqueOrder, t: int) -> Verdict:
         |C_i & C_{i+1}| <= |C_j & C_{j+1}| for all j > i
     hold in the given order or in its reverse.  UNKNOWN is not a
     negative answer."""
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
+    _check_target(g, t)
     if not validate_clique_order(g, order):
         raise ValueError("invalid clique order for this graph")
+    return _mcs_interval_verdict(g, order, t)
+
+
+def _mcs_interval_verdict(g: Graph, order: CliqueOrder, t: int) -> Verdict:
+    """Assumes `order` is a valid clique order of g."""
     if not is_simplicial(g, t):
         return Verdict.UNKNOWN
     if _separator_growth_conditions(order.cliques, t) or _separator_growth_conditions(order.reversed().cliques, t):
@@ -301,43 +328,43 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     certificate fails is a ClassMismatchError).  Preference order is
     unit-interval > split > chordal characterizations, then the
     exhaustive oracle under its guard, then UNKNOWN with the reason.
+    Connectivity and each class are established once, here; the
+    deciders below trust them instead of checking again.
     """
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
+    _check_target(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError("end-vertex dispatch requires a connected graph")
     hint = class_hint or "auto"
     if hint not in _HINTS:
         raise ValueError(f"unknown class hint {hint!r} (expected one of {_HINTS})")
 
-    classes = _detect_classes(g, hint)
-    tags = tuple(sorted(classes))
+    certs = _detect_classes(g, hint)
+    tags = tuple(sorted(certs))
 
     def result(verdict: Verdict, method: str, detail: str | None = None,
                witness: list[int] | None = None) -> DispatchResult:
         return DispatchResult(verdict, method, detail,
                               tuple(witness) if witness is not None else None, tags)
 
-    if kind in (SearchKind.MNS, SearchKind.MCS, SearchKind.LDFS) and "unit-interval" in classes:
+    if kind in (SearchKind.MNS, SearchKind.MCS, SearchKind.LDFS) and "unit-interval" in certs:
         ok, why = _unit_interval_explain(g, t, name_of=name_of)
         return result(Verdict.YES if ok else Verdict.NO, "unit-interval characterization", why)
-    if kind is SearchKind.MCS and "split" in classes:
+    if kind is SearchKind.MCS and "split" in certs:
         ok, why = _mcs_split_explain(g, t, name_of=name_of)
         return result(Verdict.YES if ok else Verdict.NO, "split MCS characterization", why)
-    if kind is SearchKind.MNS and "chordal" in classes:
+    if kind is SearchKind.MNS and "chordal" in certs:
         ok, why = _mns_chordal_explain(g, t, name_of=name_of)
         return result(Verdict.YES if ok else Verdict.NO, "chordal MNS characterization", why)
-    if kind is SearchKind.DFS and "claw-net-free" in classes:
+    if kind is SearchKind.DFS and "claw-net-free" in certs:
         ok = decide_dfs_claw_net_free(g, t)
         return result(Verdict.YES if ok else Verdict.NO, "cut-vertex characterization",
                       None if ok else f"vertex {name_of(t)} is a cut vertex")
-    if kind is SearchKind.DFS and "interval" in classes:
-        ok = decide_dfs_interval(g, t)
+    if kind is SearchKind.DFS and "interval" in certs:
+        ok = _dfs_interval(g, t)
         return result(Verdict.YES if ok else Verdict.NO, "interval DFS characterization",
                       None if ok else f"G[N({name_of(t)})] has no hamiltonian path")
-    if kind is SearchKind.MCS and "interval" in classes:
-        order = recognize_interval(g)
-        if order is not None and mcs_interval_sufficient(g, order, t) is Verdict.YES:
+    if kind is SearchKind.MCS and "interval" in certs:
+        if _mcs_interval_verdict(g, certs["interval"], t) is Verdict.YES:
             return result(Verdict.YES, "interval MCS sufficient condition")
         fallback = _oracle_fallback(g, t, kind, oracle_guard)
         if fallback is not None:
@@ -364,39 +391,58 @@ def _oracle_fallback(g: Graph, t: int, kind: SearchKind, oracle_guard: int):
     return ok, witness
 
 
-def _detect_classes(g: Graph, hint: str) -> set[str]:
+def _detect_classes(g: Graph, hint: str) -> dict[str, object]:
+    """Class tag -> the certificate that established it: a PEO
+    ("chordal"), a SplitPartition or the degree-test verdict True
+    ("split"), a CliqueOrder ("interval"), a unit interval order
+    ("unit-interval"), True ("claw-net-free").  A class implied by
+    another one maps to None.  g is connected (checked by dispatch)."""
     if hint != "auto":
         if hint == "split":
-            if recognize_split(g) is None:
+            part = recognize_split(g)
+            if part is None:
                 raise ClassMismatchError("class hint 'split' failed certificate validation")
-            return {"split", "chordal"}
+            return {"split": part, "chordal": None}
         if hint == "chordal":
-            if recognize_chordal(g) is None:
+            peo = recognize_chordal(g)
+            if peo is None:
                 raise ClassMismatchError("class hint 'chordal' failed certificate validation")
-            return {"chordal"}
+            return {"chordal": peo}
         if hint == "interval":
-            if recognize_interval(g) is None:
+            order = recognize_interval(g)
+            if order is None:
                 raise ClassMismatchError("class hint 'interval' failed certificate validation")
-            return {"interval", "chordal"}
-        if recognize_unit_interval(g) is None:
+            return {"interval": order, "chordal": None}
+        unit = recognize_unit_interval(g)
+        if unit is None:
             raise ClassMismatchError("class hint 'unit-interval' failed certificate validation")
-        return {"unit-interval", "interval", "chordal", "claw-net-free"}
-    classes: set[str] = set()
-    if recognize_chordal(g) is not None:
-        classes.add("chordal")
+        return {"unit-interval": unit, "interval": None, "chordal": None, "claw-net-free": None}
+    certs: dict[str, object] = {}
+    peo = recognize_chordal(g)
+    if peo is not None:
+        certs["chordal"] = peo
         if is_split(g):
-            classes.add("split")
-        if recognize_interval(g) is not None:
-            classes.add("interval")
-            if recognize_unit_interval(g) is not None:
-                classes.add("unit-interval")
+            certs["split"] = True
+        order = recognize_interval(g)
+        if order is not None:
+            certs["interval"] = order
+            unit = recognize_unit_interval(g)
+            if unit is not None:
+                certs["unit-interval"] = unit
     if is_claw_net_free(g):
-        classes.add("claw-net-free")
-    return classes
+        certs["claw-net-free"] = True
+    return certs
+
+
+def _check_target(g: Graph, t: int) -> None:
+    if not 0 <= t < g.n:
+        raise ValueError(f"vertex {t} out of range")
 
 
 def _incomparable_pair(sets) -> tuple[frozenset, frozenset]:
-    ordered = sorted(sets, key=len)
+    """The first incomparable pair in (size, members) order, so that a
+    NO answer's detail does not depend on set iteration order."""
+    ordered = sorted(sets, key=lambda s: (len(s), sorted(s)))
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             a, b = ordered[i], ordered[j]

@@ -32,18 +32,20 @@ class SplitPartition:
 
 
 def validate_split_partition(g: Graph, part: SplitPartition) -> bool:
+    """True iff `part` splits g into a clique and an independent set with
+    the clique side maximal.  Each vertex's neighborhood is intersected
+    with one side only, so this is O(n + m), not quadratic in a side."""
     c, i = part.clique, part.independent
     if c & i or (c | i) != frozenset(range(g.n)):
         return False
-    for u, v in combinations(sorted(c), 2):
-        if not g.has_edge(u, v):
+    adj = g.adj
+    want = len(c) - 1
+    for v in c:
+        if len(adj[v] & c) != want:
             return False
-    for u, v in combinations(sorted(i), 2):
-        if g.has_edge(u, v):
-            return False
-    # Maximality of the clique side: no independent vertex sees all of C.
     for w in i:
-        if c <= g.adj[w]:
+        # Independence, then maximality: no independent vertex sees all of C.
+        if not adj[w].isdisjoint(i) or c <= adj[w]:
             return False
     return True
 

@@ -31,7 +31,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .chordal import _position_map
-from .chordal import peo_check  # noqa: F401  (re-exported: orderings API lives here)
 from .errors import DisconnectedGraphError
 from .graph import Graph, is_connected
 

@@ -9,12 +9,17 @@ contracts of the four linear deciders between n = 1e5 and n = 1e6.
 import gc
 import math
 import random
+import sys
 import time
 from itertools import product
 
+import pytest
+
+import endvertex
 import fixtures as fx
 from endvertex import (
     CnfFormula,
+    DisconnectedGraphError,
     SearchKind,
     SeededRandom,
     Verdict,
@@ -25,6 +30,7 @@ from endvertex import (
     decide_mcs_split,
     decide_mns_chordal,
     decide_unit_interval,
+    dispatch_endvertex,
     endvertex_set_exhaustive,
     enumerate_clique_orders,
     is_connected,
@@ -33,13 +39,17 @@ from endvertex import (
     is_weakly_chordal_desk,
     mcs_gadget_edge_count,
     mcs_interval_sufficient,
+    mcs_order,
     mns_gadget_edge_count,
     randomized_endvertex_probe,
+    recognize_chordal,
+    recognize_split,
     run_search,
     sat_bruteforce,
     terminal_orders_exhaustive,
     unit_interval_order_ending_at,
     validate_order,
+    validate_split_partition,
     witness_order_mcs,
 )
 from endvertex.deciders import _connected_outside_closed_neighborhood
@@ -381,3 +391,68 @@ def test_criterion_11_linear_time_contracts():
         lines.append(f"{label}: {t_small * 1e3:.0f}ms -> {t_big * 1e3:.0f}ms (x{ratio:.1f})")
         assert ratio < 15.0, f"{label} scaled x{ratio:.1f} from 1e5 to 1e6"
     print("ACCEPTANCE 11 (linear-time contracts): PASS  [" + "; ".join(lines) + "]")
+
+
+# ---------------------------------------------------------------------------
+# Deterministic companions of criterion 11: call counts per stage, which
+# do not depend on the machine's speed.
+
+
+def _count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Replace `module.name` with a counting wrapper at every endvertex
+    module attribute bound to it; returns the one-element call counter."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and (mod_name == "endvertex" or mod_name.startswith("endvertex.")):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_chordal_hinted_mns_stage_counts(monkeypatch):
+    """One chordal-hinted MNS dispatch establishes the class once and
+    decides from the components of G - N[t]: no clique tree, one MCS,
+    one elimination test, at most two connectivity passes."""
+    g = _window_graph(200)
+    counts = {name: _count_calls(monkeypatch, module, name)
+              for module, name in ((endvertex.chordal, "clique_tree"),
+                                   (endvertex.chordal, "mcs_order"),
+                                   (endvertex.chordal, "peo_violation"),
+                                   (endvertex.graph, "is_connected"))}
+    res = dispatch_endvertex(g, 199, K.MNS, class_hint="chordal")
+    assert res.verdict is Verdict.YES and res.method == "chordal MNS characterization"
+    got = {name: c[0] for name, c in counts.items()}
+    assert got["clique_tree"] == 0, got
+    assert got["mcs_order"] == 1, got
+    assert got["peo_violation"] == 1, got
+    assert got["is_connected"] <= 2, got
+
+
+def test_mcs_and_chordal_recognition_still_reject_disconnected_input():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(DisconnectedGraphError):
+        mcs_order(g)
+    with pytest.raises(DisconnectedGraphError):
+        mcs_order(g, start=4)
+    with pytest.raises(DisconnectedGraphError):
+        recognize_chordal(g)
+    with pytest.raises(DisconnectedGraphError):
+        mcs_order(Graph.from_edges(2, []))
+
+
+def test_split_validation_is_linear_on_criterion_11_family():
+    """recognize_split validates its partition of criterion 11's n = 1e5
+    split family (an independent side of ~1e5 vertices) without an
+    all-pairs pass."""
+    g, t = _split_perf_graph(10 ** 5, seed=11)
+    part = recognize_split(g)
+    assert part is not None and validate_split_partition(g, part)
+    # t sees the whole sqrt-size clique, so maximality promotes it.
+    assert part.clique == frozenset(range(math.isqrt(10 ** 5))) | {t}

@@ -133,3 +133,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     missing = tmp_path / "nope.graph"
     assert main(["search", str(missing), "--kind", "bfs"]) == 2
     capsys.readouterr()
+
+
+def test_cli_recursion_limit_is_exit_1_without_traceback(tmp_path, capsys):
+    """Unit interval recognition still recurses once per vertex; on a
+    1500-vertex window graph it exceeds the interpreter's limit, and the
+    CLI reports that as a one-line error with exit status 1."""
+    n = 1500
+    edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
+    path = tmp_path / "window.graph"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert main(["endvertex", str(path), "--class", "unit-interval", "--kind", "ldfs",
+                 "--target", str(n - 1), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err

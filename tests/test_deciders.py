@@ -5,10 +5,13 @@ import pytest
 import fixtures as fx
 from endvertex import (
     ClassMismatchError,
+    DisconnectedGraphError,
+    Graph,
     GuardExceededError,
     NotChordalError,
     SearchKind,
     Verdict,
+    clique_tree,
     cut_vertices,
     decide_dfs_claw_net_free,
     decide_dfs_interval,
@@ -21,6 +24,7 @@ from endvertex import (
     mcs_interval_sufficient,
     recognize_interval,
 )
+from endvertex.deciders import _outside_component_neighborhoods
 
 K = SearchKind
 
@@ -33,6 +37,8 @@ def test_mns_chordal_examples():
     assert not decide_mns_chordal(fx.path(3), 1)
     with pytest.raises(NotChordalError):
         decide_mns_chordal(fx.cycle(4), 0)
+    with pytest.raises(DisconnectedGraphError):
+        decide_mns_chordal(Graph.from_edges(4, [(0, 1), (2, 3)]), 0)
 
 
 def test_mcs_split_examples():
@@ -144,11 +150,13 @@ def test_decider_oracle_agreement_quick():
         exact = endvertex_set_exhaustive(g, K.MCS)
         for t in range(g.n):
             assert decide_mcs_split(g, t) == (t in exact)
-    for _ in range(40):
-        g = fx.rand_chordal(rng, rng.randint(2, 8))
+    for _ in range(150):
+        g = fx.rand_chordal(rng, rng.randint(1, 8), q=rng.choice((0.2, 0.5, 0.8)))
         exact = endvertex_set_exhaustive(g, K.MNS)
         for t in range(g.n):
             assert decide_mns_chordal(g, t) == (t in exact)
+            res = dispatch_endvertex(g, t, K.MNS, class_hint="chordal")
+            assert (res.verdict is Verdict.YES) == (t in exact)
 
 
 def test_dispatch_examples():
@@ -207,3 +215,29 @@ def test_cut_vertex_never_ends_any_search():
         for kind in SearchKind:
             ends = endvertex_set_exhaustive(g, kind)
             assert not (ends & cuts)
+
+
+def test_component_neighborhoods_are_the_separators_inside_n_t():
+    """For every t, simplicial or not, the sets N(C) over the components
+    C of G - N[t] are exactly the clique-tree edge separators inside
+    N(t), i.e. the minimal separators there."""
+    rng = random.Random(6006)
+    targets = 0
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        g = fx.rand_chordal(rng, n, q=rng.choice((0.2, 0.5, 0.8)))
+        _, tree_edges = clique_tree(g)
+        for t in range(n):
+            expected = {sep for _, _, sep in tree_edges if sep and sep <= g.adj[t]}
+            assert set(_outside_component_neighborhoods(g, t)) == expected, (n, t)
+            targets += 1
+    assert targets > 30000
+
+
+def test_mns_chordal_detail_is_deterministic():
+    # t = 0 sees 1 and 2; the leaves 3 (on 1) and 4 (on 2) give the
+    # incomparable separators {1} and {2}, reported smallest member first.
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+    res = dispatch_endvertex(g, 0, K.MNS, class_hint="chordal")
+    assert res.verdict is Verdict.NO
+    assert res.detail == "minimal separators {1} and {2} inside N(0) are inclusion-incomparable"

@@ -5,7 +5,9 @@ import pytest
 import fixtures as fx
 from endvertex import (
     CliqueOrder,
+    Graph,
     GuardExceededError,
+    SplitPartition,
     check_unit_interval_order,
     enumerate_clique_orders,
     is_claw_net_free,
@@ -185,3 +187,23 @@ def test_invalid_clique_order_rejected():
     assert not validate_clique_order(g, swapped)
     missing = CliqueOrder(tuple(cliques[:-1]))
     assert not validate_clique_order(g, missing)
+
+
+def test_validate_split_partition_rejections():
+    # C = {0,1,2} a triangle, I = {3,4}; 3 sees 0, 4 sees 1.
+    edges = [(0, 1), (0, 2), (1, 2), (3, 0), (4, 1)]
+    good = SplitPartition(frozenset({0, 1, 2}), frozenset({3, 4}))
+    assert validate_split_partition(Graph.from_edges(5, edges), good)
+    missing_clique_edge = Graph.from_edges(5, [e for e in edges if e != (1, 2)])
+    assert not validate_split_partition(missing_clique_edge, good)
+    edge_inside_i = Graph.from_edges(5, edges + [(3, 4)])
+    assert not validate_split_partition(edge_inside_i, good)
+    # 3 sees all of C, so C is not maximal (C + {3} is a clique).
+    sees_all = Graph.from_edges(5, edges + [(3, 1), (3, 2)])
+    assert not validate_split_partition(sees_all, good)
+    assert validate_split_partition(
+        sees_all, SplitPartition(frozenset({0, 1, 2, 3}), frozenset({4})))
+    # Overlapping or non-covering sides.
+    g = Graph.from_edges(5, edges)
+    assert not validate_split_partition(g, SplitPartition(frozenset({0, 1, 2, 3}), frozenset({3, 4})))
+    assert not validate_split_partition(g, SplitPartition(frozenset({0, 1, 2}), frozenset({3})))
