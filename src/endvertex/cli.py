@@ -23,7 +23,12 @@ from .chordal import chordal_hole, recognize_chordal
 from .deciders import Verdict, dispatch_endvertex
 from .errors import GuardExceededError
 from .graph import Graph
-from .oracle import endvertex_set_exhaustive, is_endvertex_exhaustive
+from .oracle import (
+    DEFAULT_GUARD_PREFIX,
+    DEFAULT_GUARD_SET_STATE,
+    endvertex_set_exhaustive,
+    is_endvertex_exhaustive,
+)
 from .recognize import (
     is_claw_net_free,
     recognize_interval,
@@ -373,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--class", dest="graph_class", default="auto",
                    choices=("auto", "split", "chordal", "interval", "unit-interval"))
-    p.add_argument("--oracle-guard", type=int, default=18)
+    p.add_argument("--oracle-guard", type=int, default=None,
+                   help="largest graph the exhaustive fallback may enumerate (default: "
+                        f"{DEFAULT_GUARD_SET_STATE} for MCS/MNS, {DEFAULT_GUARD_PREFIX} otherwise)")
     add_json(p)
     p.set_defaults(func=cmd_endvertex)
 

@@ -18,7 +18,7 @@ from enum import Enum
 from .chordal import recognize_chordal
 from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError, NotChordalError
 from .graph import Graph, cut_vertices, induced_subgraph, is_connected, is_inclusion_chain, is_simplicial
-from .oracle import SET_STATE_KINDS, is_endvertex_exhaustive
+from .oracle import is_endvertex_exhaustive
 from .recognize import (
     CliqueOrder,
     is_claw_net_free,
@@ -321,13 +321,14 @@ _HINTS = ("auto", "split", "chordal", "interval", "unit-interval")
 
 
 def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | None = None,
-                       oracle_guard: int = 18, name_of=str) -> DispatchResult:
+                       oracle_guard: int | None = None, name_of=str) -> DispatchResult:
     """Route an end-vertex query to the strongest applicable decider.
 
     Recognizers run first (or validate the supplied hint; a hint whose
     certificate fails is a ClassMismatchError).  Preference order is
     unit-interval > split > chordal characterizations, then the
-    exhaustive oracle under its guard, then UNKNOWN with the reason.
+    exhaustive oracle under `oracle_guard` (None: the oracle's default
+    for the kind), then UNKNOWN with the reason.
     Connectivity and each class are established once, here; the
     deciders below trust them instead of checking again.
     """
@@ -382,10 +383,9 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     return result(Verdict.UNKNOWN, "none", "no polynomial characterization in scope")
 
 
-def _oracle_fallback(g: Graph, t: int, kind: SearchKind, oracle_guard: int):
-    guard = oracle_guard if kind in SET_STATE_KINDS else min(oracle_guard, 12)
+def _oracle_fallback(g: Graph, t: int, kind: SearchKind, oracle_guard: int | None):
     try:
-        ok, witness = is_endvertex_exhaustive(g, kind, t, guard=guard)
+        ok, witness = is_endvertex_exhaustive(g, kind, t, guard=oracle_guard)
     except GuardExceededError:
         return None
     return ok, witness

@@ -1,17 +1,19 @@
 """Exhaustive end-vertex ground truth at desk scale.
 
-Two enumeration regimes, chosen by what the eligibility rule depends on:
+One iterative depth-first walker (`_orders`) enumerates valid orders
+over a single `SearchReplay`, so every search rule is the one defined in
+`search.py`.  Eligible vertices are tried in ascending order and an
+optional target may only be visited last; the public functions are thin
+wrappers over it.
 
-* MCS and MNS eligibility is a function of the visited set alone, so the
-  oracle explores visited-set states (integer bitmasks) with memoization.
-  A vertex t is an end-vertex iff the state "everything but t" is
-  reachable, because the lone remaining vertex is always eligible.
+Pruning:
 
-* Generic, BFS, DFS, LBFS and LDFS depend on the prefix order, so the
-  oracle enumerates the prefix tree with no visited-set memoization.
-  The set query prunes subtrees whose unvisited vertices are all already
-  known end-vertices; the membership query prunes prefixes that visit
-  the target early.
+* a set query skips a prefix whose unvisited vertices are all known
+  end-vertices already, whatever the kind;
+* MCS and MNS eligibility is a function of the visited set alone, so
+  their walks also memoize visited-set bitmasks: a set query skips a
+  visited set it has explored already, a target query one that has no
+  completion ending at the target.
 
 Guards are explicit: exceeding one raises GuardExceededError rather than
 approximating.  The randomized probe is the only statistical tool here,
@@ -21,6 +23,7 @@ for instances beyond any enumeration guard.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -34,281 +37,80 @@ DEFAULT_GUARD_SET_STATE = 18
 DEFAULT_GUARD_PREFIX = 12
 
 
-def _default_guard(kind: SearchKind) -> int:
-    return DEFAULT_GUARD_SET_STATE if kind in SET_STATE_KINDS else DEFAULT_GUARD_PREFIX
-
-
-def _check_entry(g: Graph, kind: SearchKind, start: int | None, guard: int | None) -> int:
-    limit = _default_guard(kind) if guard is None else guard
-    if g.n > limit:
-        raise GuardExceededError(f"exhaustive {kind.value} oracle", g.n, limit)
+def _check_entry(g: Graph, kind: SearchKind, start: int | None, guard: int | None,
+                 t: int | None = None) -> None:
+    if guard is None:
+        guard = DEFAULT_GUARD_SET_STATE if kind in SET_STATE_KINDS else DEFAULT_GUARD_PREFIX
+    if g.n > guard:
+        raise GuardExceededError(f"exhaustive {kind.value} oracle", g.n, guard)
     if not is_connected(g):
         raise DisconnectedGraphError("oracle requires a connected graph")
     if start is not None and not 0 <= start < g.n:
         raise ValueError(f"start vertex {start} out of range")
-    return limit
+    if t is not None and not 0 <= t < g.n:
+        raise ValueError(f"target vertex {t} out of range")
 
 
-# ---------------------------------------------------------------------------
-# Visited-set regime (MCS, MNS)
+def _orders(g: Graph, kind: SearchKind, start: int | None,
+            target: int | None = None) -> Iterator[list[int]]:
+    """Valid kind-orders (from `start` if given) in lexicographic order.
 
-
-class _MaskOracle:
-    """Visited-set state space for one (graph, kind) pair.
-
-    `witness_ending_at` memoizes failed states per target, answering
-    "can some completion of this visited set end at t" with an early
-    exit and witness reconstruction on success; `reachable_end_vertices`
-    walks the whole state space once.
+    With a target, exactly the orders ending at it.  Without one, every
+    end-vertex ends at least one generated order, but prefixes that
+    cannot reach a new end-vertex are skipped.
     """
-
-    def __init__(self, g: Graph, kind: SearchKind, start: int | None):
-        self.g = g
-        self.kind = kind
-        self.start = start
-        self.n = g.n
-        self.masks = g.adjacency_masks()
-        self.full = (1 << g.n) - 1
-
-    def eligible_mask(self, mask: int) -> int:
-        unvis = self.full & ~mask
-        if mask == 0:
-            return unvis
-        masks = self.masks
-        if self.kind is SearchKind.MCS:
-            best = -1
-            out = 0
-            rest = unvis
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                c = (masks[v] & mask).bit_count()
-                if c > best:
-                    best, out = c, low
-                elif c == best:
-                    out |= low
-            return out
-        # MNS: labels maximal under set inclusion.
-        labels = []
-        rest = unvis
-        while rest:
-            low = rest & -rest
-            labels.append((low, masks[low.bit_length() - 1] & mask))
-            rest ^= low
-        out = 0
-        for bit, lab in labels:
-            for _, other in labels:
-                if lab != other and lab & other == lab:
-                    break
-            else:
-                out |= bit
-        return out
-
-    def initial_masks(self) -> list[int]:
-        if self.start is not None:
-            return [1 << self.start]
-        return [1 << v for v in range(self.n)]
-
-    def reachable_end_vertices(self) -> frozenset:
-        n = self.n
-        if n == 0:
-            return frozenset()
-        if n == 1:
-            return frozenset({0}) if self.start in (None, 0) else frozenset()
-        found = set()
-        seen = set()
-        stack = []
-        for m in self.initial_masks():
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-        want = n - 1
-        while stack:
-            mask = stack.pop()
-            if mask.bit_count() == want:
-                found.add((self.full ^ mask).bit_length() - 1)
-                continue
-            elig = self.eligible_mask(mask)
-            while elig:
-                low = elig & -elig
-                elig ^= low
-                nxt = mask | low
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(found)
-
-    def witness_ending_at(self, t: int) -> list[int] | None:
-        """A full order ending at t, or None; memoized on failing states."""
-        n = self.n
-        if n == 1:
-            return [0] if t == 0 and self.start in (None, 0) else None
-        target = self.full ^ (1 << t)
-        tbit = 1 << t
-        failed: set[int] = set()
-
-        def go(mask: int) -> list[int] | None:
-            if mask == target:
-                return [t]
-            if mask in failed:
-                return None
-            elig = self.eligible_mask(mask) & ~tbit
-            while elig:
-                low = elig & -elig
-                elig ^= low
-                tail = go(mask | low)
-                if tail is not None:
-                    return [low.bit_length() - 1] + tail
-            failed.add(mask)
-            return None
-
-        for m in self.initial_masks():
-            if m & tbit:
-                continue
-            tail = go(m)
-            if tail is not None:
-                return [m.bit_length() - 1] + tail
-        return None
-
-    def terminal_orders(self, t: int, limit: int) -> Iterator[list[int]]:
-        """Yield up to `limit` full orders ending at t.
-
-        Prefix enumeration filtered through the memoized completion
-        test, so only prefixes that can still reach t-last are walked.
-        """
-        n = self.n
-        if n == 1:
-            if t == 0 and self.start in (None, 0) and limit > 0:
-                yield [0]
-            return
-        target = self.full ^ (1 << t)
-        tbit = 1 << t
-        failed: set[int] = set()
-
-        def completes(mask: int) -> bool:
-            if mask == target:
-                return True
-            if mask in failed:
-                return False
-            elig = self.eligible_mask(mask) & ~tbit
-            while elig:
-                low = elig & -elig
-                elig ^= low
-                if completes(mask | low):
-                    return True
-            failed.add(mask)
-            return False
-
-        emitted = 0
-
-        def walk(prefix: list[int], mask: int) -> Iterator[list[int]]:
-            nonlocal emitted
-            if emitted >= limit:
-                return
-            if mask == target:
+    n = g.n
+    replay = SearchReplay(g, kind)
+    order, advance, retreat = replay.order, replay.advance, replay.retreat
+    memo: set[int] | None = set() if kind in SET_STATE_KINDS else None
+    found = 0  # end-vertices of the orders generated so far, as a bitmask
+    emitted = 0
+    # One frame per prefix length: the vertices still to try after it, and
+    # the number of orders generated before it was entered.
+    stack = [(iter(range(n) if start is None else (start,)), 0)]
+    while stack:
+        todo, entered = stack[-1]
+        for v in todo:
+            if len(order) == n - 1:
+                advance(v)
+                yield list(order)
+                retreat()
+                found |= 1 << v
                 emitted += 1
-                yield prefix + [t]
-                return
-            elig = self.eligible_mask(mask) & ~tbit
-            while elig and emitted < limit:
-                low = elig & -elig
-                elig ^= low
-                nxt = mask | low
-                if completes(nxt):
-                    yield from walk(prefix + [low.bit_length() - 1], nxt)
-
-        for m in self.initial_masks():
-            if m & tbit or emitted >= limit:
                 continue
-            if completes(m):
-                yield from walk([m.bit_length() - 1], m)
-
-
-# ---------------------------------------------------------------------------
-# Prefix-tree regime (Generic, BFS, DFS, LBFS, LDFS)
-
-
-def _prefix_end_vertices(g: Graph, kind: SearchKind, start: int | None) -> frozenset:
-    n = g.n
-    if n == 0:
-        return frozenset()
-    if n == 1:
-        return frozenset({0}) if start in (None, 0) else frozenset()
-    replay = SearchReplay(g, kind)
-    found: set[int] = set()
-
-    def rec() -> None:
-        depth = len(replay.order)
-        if depth == n:
-            found.add(replay.order[-1])
-            return
-        if depth and all(v in found for v in replay.unvisited()):
-            return  # subtree cannot contribute a new end-vertex
-        for v in replay.eligible():
-            replay.advance(v)
-            rec()
-            replay.retreat()
-
-    if start is None:
-        rec()
-    else:
-        replay.advance(start)
-        rec()
-    return frozenset(found)
-
-
-def _prefix_witness(g: Graph, kind: SearchKind, t: int, start: int | None) -> list[int] | None:
-    n = g.n
-    if n == 1:
-        return [0] if t == 0 and start in (None, 0) else None
-    if start == t:
-        return None
-    replay = SearchReplay(g, kind)
-
-    def rec() -> list[int] | None:
-        if len(replay.order) == n - 1:
-            if t in replay.eligible():
-                return replay.order + [t]
-            return None
-        for v in replay.eligible():
-            if v == t:
+            if v == target:
                 continue
-            replay.advance(v)
-            got = rec()
-            if got is not None:
-                return got
-            replay.retreat()
-        return None
-
-    if start is not None:
-        replay.advance(start)
-    return rec()
-
-
-# ---------------------------------------------------------------------------
-# Public API
+            mask = replay.visited_mask | 1 << v
+            if memo is not None:
+                if mask in memo:
+                    continue
+                if target is None:
+                    memo.add(mask)
+            if target is None and not replay.full_mask & ~mask & ~found:
+                continue
+            advance(v)
+            stack.append((iter(replay.eligible()), emitted))
+            break
+        else:
+            stack.pop()
+            if order:
+                if memo is not None and target is not None and emitted == entered:
+                    memo.add(replay.visited_mask)  # no completion ends at the target
+                retreat()
 
 
 def endvertex_set_exhaustive(g: Graph, kind: SearchKind, start: int | None = None,
                              guard: int | None = None) -> frozenset:
     """Exactly {t : some valid kind-order (optionally from `start`) ends at t}."""
     _check_entry(g, kind, start, guard)
-    if kind in SET_STATE_KINDS:
-        return _MaskOracle(g, kind, start).reachable_end_vertices()
-    return _prefix_end_vertices(g, kind, start)
+    return frozenset(order[-1] for order in _orders(g, kind, start))
 
 
 def is_endvertex_exhaustive(g: Graph, kind: SearchKind, t: int, start: int | None = None,
                             guard: int | None = None) -> tuple[bool, list[int] | None]:
     """Membership with early exit; on success also a witness order ending at t."""
-    _check_entry(g, kind, start, guard)
-    if not 0 <= t < g.n:
-        raise ValueError(f"target vertex {t} out of range")
-    if kind in SET_STATE_KINDS:
-        witness = _MaskOracle(g, kind, start).witness_ending_at(t)
-    else:
-        witness = _prefix_witness(g, kind, t, start)
+    _check_entry(g, kind, start, guard, t)
+    witness = next(_orders(g, kind, start, t), None)
     return (witness is not None), witness
 
 
@@ -318,10 +120,8 @@ def terminal_orders_exhaustive(g: Graph, kind: SearchKind, t: int, limit: int,
     """Up to `limit` distinct full kind-orders ending at t (MCS/MNS only)."""
     if kind not in SET_STATE_KINDS:
         raise ValueError("terminal-order enumeration is provided for MCS and MNS only")
-    _check_entry(g, kind, start, guard)
-    if not 0 <= t < g.n:
-        raise ValueError(f"target vertex {t} out of range")
-    return _MaskOracle(g, kind, start).terminal_orders(t, limit)
+    _check_entry(g, kind, start, guard, t)
+    return islice(_orders(g, kind, start, t), max(limit, 0))
 
 
 def randomized_endvertex_probe(g: Graph, kind: SearchKind, t: int, trials: int,

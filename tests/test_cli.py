@@ -150,3 +150,26 @@ def test_cli_recursion_limit_is_exit_1_without_traceback(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def _path_file(tmp_path, n):
+    path = tmp_path / f"path{n}.graph"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    return str(path)
+
+
+def test_cli_oracle_guard_is_honoured(tmp_path, capsys):
+    path = _path_file(tmp_path, 13)
+    query = ["endvertex", path, "--kind", "bfs", "--target", "0", "--json"]
+    assert main(query + ["--oracle-guard", "13"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["answer"] == "yes" and doc["method"] == "exhaustive oracle"
+    assert main(query) == 0
+    assert json.loads(capsys.readouterr().out)["answer"] == "unknown"
+
+
+def test_cli_oracle_on_a_long_path_has_no_recursion_limit(tmp_path, capsys):
+    path = _path_file(tmp_path, 1500)
+    assert main(["oracle", path, "--kind", "dfs", "--start", "0", "--guard", "1500"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "end vertices: 1499" and captured.err == ""

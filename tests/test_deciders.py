@@ -179,6 +179,15 @@ def test_dispatch_examples():
     assert res.verdict is Verdict.UNKNOWN
 
 
+def test_dispatch_honours_a_raised_oracle_guard():
+    """An explicit oracle_guard is passed through for every kind; the
+    default stays the oracle's per-kind guard (12 for BFS)."""
+    g = fx.path(13)
+    res = dispatch_endvertex(g, 0, K.BFS, oracle_guard=13)
+    assert res.verdict is Verdict.YES and res.method == "exhaustive oracle"
+    assert dispatch_endvertex(g, 0, K.BFS).verdict is Verdict.UNKNOWN
+
+
 def test_dispatch_verifies_class_hints():
     with pytest.raises(ClassMismatchError):
         dispatch_endvertex(fx.cycle(4), 0, K.MNS, class_hint="chordal")

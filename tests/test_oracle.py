@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -6,7 +7,6 @@ import fixtures as fx
 from endvertex import (
     GuardExceededError,
     SearchKind,
-    SearchReplay,
     endvertex_set_exhaustive,
     is_endvertex_exhaustive,
     randomized_endvertex_probe,
@@ -62,17 +62,34 @@ def test_witnesses_always_validate():
                 assert ok == (t in endvertex_set_exhaustive(g, kind))
 
 
-def test_memoized_masks_agree_with_prefix_enumeration():
-    """Cross-validate the visited-set-sufficiency optimization for MCS
-    and MNS against raw prefix enumeration."""
-    from endvertex.oracle import _prefix_end_vertices
+def test_oracle_agrees_with_permutation_brute_force():
+    """Reference: every permutation of V, kept when validate_order accepts
+    it, in lexicographic order.  End-vertex sets and witnesses must match
+    for every kind and start, and MCS/MNS terminal orders must be exactly
+    the valid permutations ending at t, in the same order."""
     rng = random.Random(5002)
     for _ in range(40):
-        g = fx.rand_connected_graph(rng, rng.randint(2, 8))
-        for kind in (K.MCS, K.MNS):
-            via_masks = endvertex_set_exhaustive(g, kind)
-            via_prefixes = _prefix_end_vertices(g, kind, None)
-            assert via_masks == via_prefixes
+        g = fx.rand_connected_graph(rng, rng.randint(2, 7))
+        for kind in SearchKind:
+            valid = [list(p) for p in permutations(range(g.n))
+                     if validate_order(kind, g, p) == (True, None)]
+            for start in [None, *range(g.n)]:
+                orders = [o for o in valid if start in (None, o[0])]
+                assert endvertex_set_exhaustive(g, kind, start=start) == {o[-1] for o in orders}
+                for t in range(g.n):
+                    ending = [o for o in orders if o[-1] == t]
+                    ok, witness = is_endvertex_exhaustive(g, kind, t, start=start)
+                    assert (ok, witness) == (bool(ending), ending[0] if ending else None)
+                    if kind in (K.MCS, K.MNS):
+                        assert list(terminal_orders_exhaustive(
+                            g, kind, t, limit=10**6, start=start)) == ending
+
+
+def test_oracle_is_recursion_free_on_long_paths():
+    g = fx.path(1500)
+    assert endvertex_set_exhaustive(g, K.DFS, start=0, guard=1500) == {1499}
+    ok, witness = is_endvertex_exhaustive(g, K.MCS, 1499, start=0, guard=1500)
+    assert ok and witness == list(range(1500))
 
 
 def test_free_start_is_union_over_fixed_starts():
@@ -175,26 +192,3 @@ def test_endvertex_hierarchy_monotonicity():
         assert endvertex_set_exhaustive(g, K.LDFS) <= mns
         for kind in (K.BFS, K.DFS, K.LBFS):
             assert endvertex_set_exhaustive(g, kind) <= generic
-
-
-def test_mask_oracle_eligibility_matches_replay():
-    from endvertex.oracle import _MaskOracle
-    rng = random.Random(5005)
-    for _ in range(30):
-        g = fx.rand_connected_graph(rng, rng.randint(2, 8))
-        for kind in (K.MCS, K.MNS):
-            oracle = _MaskOracle(g, kind, None)
-            replay = SearchReplay(g, kind)
-            prefix = []
-            pool = list(range(g.n))
-            rng.shuffle(pool)
-            for v in pool[:rng.randint(1, g.n - 1)]:
-                replay.advance(v)
-                prefix.append(v)
-            mask = 0
-            for v in prefix:
-                mask |= 1 << v
-            from_replay = frozenset(replay.eligible())
-            bits = oracle.eligible_mask(mask)
-            from_masks = frozenset(i for i in range(g.n) if bits >> i & 1)
-            assert from_replay == from_masks
