@@ -1,10 +1,13 @@
 """Command-line surface.
 
-Graph files are edge lists: an optional "# names ..." header block
-naming the vertices, a "n m" line, then m lines "u v" (names when the
-header is present, 0-based indices otherwise).  Duplicate edges
-collapse; self-loops and out-of-range endpoints are rejected with the
-offending line number.  CNF files are DIMACS.
+Graph files are edge lists: a "n m" size line, then m lines "u v"
+(vertex names when a names header is present, 0-based indices
+otherwise).  Lines starting with "#" are comments and may appear on any
+line; a comment whose first word is exactly "names" is a names header,
+which lists the vertices' names and may span several lines, all before
+the size line.  Blank lines are skipped.  Duplicate edges collapse but
+count toward m; self-loops and out-of-range endpoints are rejected with
+the offending line number.  CNF files are DIMACS.
 
 Every subcommand accepts --json and then emits a single structured
 document with stable field names.  Exit status is 0 for any computed
@@ -16,6 +19,7 @@ traceback), 2 for malformed input.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -58,74 +62,92 @@ class InputError(ValueError):
     pass
 
 
+def _names_header(line: str) -> list[str] | None:
+    """The names a comment line lists, when its first word is exactly 'names'."""
+    words = line[1:].split()
+    return words[1:] if words[:1] == ["names"] else None
+
+
 def parse_graph_text(text: str, source: str = "<input>") -> tuple[Graph, list[str] | None]:
     """Parse the edge-list format; returns the graph and its name table
     (None when vertices are anonymous indices)."""
     names: list[str] = []
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
-    index: dict[str, int] = {}
-
-    def resolve(token: str, lineno: int) -> int:
-        if names:
-            if token in index:
-                return index[token]
-            raise InputError(f"{source}:{lineno}: unknown vertex name {token!r}")
-        try:
-            return int(token)
-        except ValueError:
-            raise InputError(f"{source}:{lineno}: expected vertex index, got {token!r}") from None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("names"):
-                if header is not None:
-                    raise InputError(f"{source}:{lineno}: names header after the size line")
-                names.extend(body[len("names"):].split())
+            names.extend(_names_header(line) or ())
             continue
         parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise InputError(f"{source}:{lineno}: expected 'n m' size line")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise InputError(f"{source}:{lineno}: malformed size line {line!r}") from None
-            n = header[0]
-            if n < 0 or header[1] < 0:
-                raise InputError(f"{source}:{lineno}: negative size")
-            if names:
-                if len(names) != n:
-                    raise InputError(
-                        f"{source}:{lineno}: names header lists {len(names)} names for {n} vertices")
-                if len(set(names)) != n:
-                    raise InputError(f"{source}:{lineno}: duplicate vertex names")
-                index = {name: i for i, name in enumerate(names)}
-            continue
         if len(parts) != 2:
-            raise InputError(f"{source}:{lineno}: expected edge 'u v', got {line!r}")
-        u = resolve(parts[0], lineno)
-        v = resolve(parts[1], lineno)
-        n = header[0]
+            raise InputError(f"{source}:{lineno}: expected 'n m' size line")
+        try:
+            n, m = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"{source}:{lineno}: malformed size line {line!r}") from None
+        if n < 0 or m < 0:
+            raise InputError(f"{source}:{lineno}: negative size")
+        if names and len(names) != n:
+            raise InputError(
+                f"{source}:{lineno}: names header lists {len(names)} names for {n} vertices")
+        if names and len(set(names)) != n:
+            raise InputError(f"{source}:{lineno}: duplicate vertex names")
+        break
+    else:
+        raise InputError(f"{source}: missing size line")
+    # One callable turns an endpoint token into a vertex id; the messages
+    # for a token it rejects are worked out only when one fails.
+    convert = {name: i for i, name in enumerate(names)}.__getitem__ if names else int
+    us: list[int] = []
+    vs: list[int] = []
+    for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
+        parts = raw.split()
+        if len(parts) != 2 or parts[0][0] == "#":
+            if not parts:
+                continue
+            line = raw.strip()
+            if line[0] != "#":
+                raise InputError(f"{source}:{lineno}: expected edge 'u v', got {line!r}")
+            if _names_header(line) is not None:
+                raise InputError(f"{source}:{lineno}: names header after the size line")
+            continue
+        try:
+            u = convert(parts[0])
+            v = convert(parts[1])
+        except (KeyError, ValueError):
+            what = "unknown vertex name" if names else "expected vertex index, got"
+            for token in parts:
+                try:
+                    convert(token)
+                except (KeyError, ValueError):
+                    raise InputError(f"{source}:{lineno}: {what} {token!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"{source}:{lineno}: edge endpoint out of range 0..{n - 1}")
         if u == v:
             raise InputError(f"{source}:{lineno}: self-loop at vertex {parts[0]}")
-        edges.append((u, v))
-    if header is None:
-        raise InputError(f"{source}: missing size line")
-    if len(edges) != header[1]:
-        raise InputError(f"{source}: size line promises {header[1]} edges, found {len(edges)}")
-    return Graph.from_edges(header[0], edges), (names or None)
+        us.append(u)
+        vs.append(v)
+    if len(us) != m:
+        raise InputError(f"{source}: size line promises {m} edges, found {len(us)}")
+    return Graph.from_edges(n, zip(us, vs)), (names or None)
 
 
 def load_graph(path: str) -> tuple[Graph, list[str] | None]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read(), source=path)
+        text = fh.read()
+    # The build allocates a few GC-tracked containers per vertex, none in a
+    # reference cycle, and each full collection would rescan the growing
+    # graph.  The collector's state is process-wide, so the CLI (which owns
+    # the process) pauses it here rather than Graph, which serves any caller.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_graph_text(text, source=path)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def graph_to_text(g: Graph, names: list[str] | None = None) -> str:
@@ -145,6 +167,7 @@ def graph_to_text(g: Graph, names: list[str] | None = None) -> str:
 class _Namer:
     def __init__(self, names: list[str] | None):
         self.names = names
+        self.ids = {name: i for i, name in enumerate(names or ())}
 
     def of(self, v: int) -> str:
         return self.names[v] if self.names is not None else str(v)
@@ -153,12 +176,9 @@ class _Namer:
         return [self.of(v) for v in vertices]
 
     def to_id(self, token: str, n: int) -> int:
-        if self.names is not None:
-            try:
-                return self.names.index(token)
-            except ValueError:
-                pass  # fall through: allow raw indices even with names
-        try:
+        if token in self.ids:
+            return self.ids[token]
+        try:  # raw indices are accepted even with names
             v = int(token)
         except ValueError:
             raise InputError(f"unknown vertex {token!r}") from None

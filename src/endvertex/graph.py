@@ -46,16 +46,18 @@ class Graph:
         """Build a graph on n vertices from an edge list (duplicates collapse)."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
         g = cls.__new__(cls)
-        g.adj = tuple(frozenset(s) for s in adj)
+        # frozenset(set(...)) and not frozenset(list): a frozenset copied
+        # from a set is presized, one built from a list keeps the growth slack.
+        g.adj = tuple(frozenset(set(nbrs)) for nbrs in adj)
         g._masks = None
         return g
 

@@ -26,8 +26,6 @@ import random
 from itertools import islice
 from typing import Iterator
 
-import numpy as np
-
 from .errors import DisconnectedGraphError, GuardExceededError
 from .graph import Graph, is_connected
 from .search import SearchKind, SearchReplay, SeededRandom, run_search
@@ -152,6 +150,8 @@ def randomized_endvertex_probe(g: Graph, kind: SearchKind, t: int, trials: int,
 
 
 def _probe_mcs_batched(g: Graph, t: int, trials: int, seed: int) -> int:
+    import numpy as np  # here, so that `import endvertex` and the CLI do not load numpy
+
     n = g.n
     if n == 1:
         return trials if t == 0 else 0

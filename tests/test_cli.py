@@ -1,8 +1,16 @@
+import gc
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from endvertex.cli import graph_to_text, main, parse_graph_text
+import endvertex
+from endvertex import Graph
+from endvertex.cli import InputError, graph_to_text, load_graph, main, parse_graph_text
 
 FIG5 = """\
 # names 1 2 3 4 v 6 7
@@ -45,6 +53,76 @@ def test_parse_graph_text():
         parse_graph_text("3 2\n0 1\n")
     g2, names2 = parse_graph_text("# names a b c\n3 2\na b\nb c\n")
     assert names2 == ["a", "b", "c"] and g2.has_edge(0, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "<input>: missing size line"),
+    ("# only a comment\n\n", "<input>: missing size line"),
+    ("3\n", "<input>:1: expected 'n m' size line"),
+    ("\n3 2 1\n", "<input>:2: expected 'n m' size line"),
+    ("3 x\n", "<input>:1: malformed size line '3 x'"),
+    ("  1.5 0 \n", "<input>:1: malformed size line '1.5 0'"),
+    ("-1 0\n", "<input>:1: negative size"),
+    ("3 -2\n", "<input>:1: negative size"),
+    ("# names a b\n3 0\n", "<input>:2: names header lists 2 names for 3 vertices"),
+    ("# names a b\n# names a\n3 0\n", "<input>:3: duplicate vertex names"),
+    ("3 0\n# names a b c\n", "<input>:2: names header after the size line"),
+    ("# names a b\n2 1\na z\n", "<input>:3: unknown vertex name 'z'"),
+    ("# names a b\n2 1\ny z\n", "<input>:3: unknown vertex name 'y'"),
+    ("# names a b\n2 1\na 1\n", "<input>:3: unknown vertex name '1'"),
+    ("2 1\n0 b\n", "<input>:2: expected vertex index, got 'b'"),
+    ("2 1\nx y\n", "<input>:2: expected vertex index, got 'x'"),
+    ("3 1\n0 5\n", "<input>:2: edge endpoint out of range 0..2"),
+    ("3 1\n-1 0\n", "<input>:2: edge endpoint out of range 0..2"),
+    ("2 1\n1 1\n", "<input>:2: self-loop at vertex 1"),
+    ("# names a b\n2 1\nb b\n", "<input>:3: self-loop at vertex b"),
+    ("3 1\n0\n", "<input>:2: expected edge 'u v', got '0'"),
+    ("3 1\n 0 1 2 \n", "<input>:2: expected edge 'u v', got '0 1 2'"),
+    ("3 2\n0 1\n", "<input>: size line promises 2 edges, found 1"),
+    ("3 1\n0 1\n1 2\n", "<input>: size line promises 1 edges, found 2"),
+    ("\r\n# c\r\n3 1\r\n\r\n0 0\r\n", "<input>:5: self-loop at vertex 0"),
+])
+def test_parse_rejects_malformed_input(text, message):
+    with pytest.raises(InputError) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
+
+
+def test_parse_error_cites_the_source():
+    with pytest.raises(InputError, match=r"^g\.txt:3: self-loop at vertex 0$"):
+        parse_graph_text("2 2\n0 1\n0 0\n", source="g.txt")
+
+
+def test_parse_accepts_comments_blank_lines_and_crlf():
+    text = ("\r\n# a comment\r\n# names a b\r\n#names c\r\n\r\n3 3\r\n# x\r\n#\r\n"
+            "a b\r\n\r\nb a\r\n   # an indented comment\r\nb c\r\n")
+    g, names = parse_graph_text(text)
+    assert names == ["a", "b", "c"]
+    assert g == Graph.from_edges(3, [(0, 1), (1, 2)])  # the repeated a-b counts toward m
+    g, names = parse_graph_text("# x\n\n2 1\n# x\n\n  0 1  \n")
+    assert names is None and g == Graph.from_edges(2, [(0, 1)])
+
+
+def test_parse_comment_starting_with_names_is_not_a_header():
+    g, names = parse_graph_text("# namesake graph\n2 1\n0 1\n")
+    assert names is None and g.has_edge(0, 1)
+    g, names = parse_graph_text("2 1\n# namesake graph\n0 1\n")
+    assert names is None and g.has_edge(0, 1)
+    g, names = parse_graph_text("#names\tp q\n2 1\np q\n")
+    assert names == ["p", "q"] and g.has_edge(0, 1)
+
+
+@pytest.mark.parametrize("named", [False, True])
+def test_parse_round_trips_random_graphs(named):
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < 0.4])
+        names = None
+        if named:
+            names = rng.sample([f"{c}{i}" for c in "ab1" for i in range(10)], n)
+        assert parse_graph_text(graph_to_text(g, names)) == (g, names)
 
 
 def test_graph_round_trip():
@@ -173,3 +251,45 @@ def test_cli_oracle_on_a_long_path_has_no_recursion_limit(tmp_path, capsys):
     assert main(["oracle", path, "--kind", "dfs", "--start", "0", "--guard", "1500"]) == 0
     captured = capsys.readouterr()
     assert captured.out.strip() == "end vertices: 1499" and captured.err == ""
+
+
+def test_cli_names_resolve_before_raw_indices(tmp_path, capsys):
+    path = tmp_path / "digits.graph"
+    path.write_text("# names 1 0 x\n3 2\n1 0\n0 x\n")
+    assert main(["search", str(path), "--kind", "bfs", "--start", "1"]) == 0
+    assert capsys.readouterr().out == "1,0,x\n"
+    assert main(["search", str(path), "--kind", "bfs", "--start", "2"]) == 0
+    assert capsys.readouterr().out == "x,0,1\n"
+    assert main(["search", str(path), "--kind", "bfs", "--start", "zz"]) == 2
+    assert capsys.readouterr().err == "error: unknown vertex 'zz'\n"
+    assert main(["search", str(path), "--kind", "bfs", "--start", "7"]) == 2
+    assert capsys.readouterr().err == "error: vertex '7' out of range 0..2\n"
+
+
+def test_load_graph_restores_the_collector(tmp_path):
+    good = tmp_path / "good.graph"
+    good.write_text("2 1\n0 1\n")
+    bad = tmp_path / "bad.graph"
+    bad.write_text("2 1\n0 0\n")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            load_graph(str(good))
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError):
+                load_graph(str(bad))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("module", ["endvertex", "endvertex.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    """Only the randomized MCS probe uses numpy, so the CLI does not pay
+    for importing it."""
+    src = str(Path(endvertex.__file__).resolve().parents[1])
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out == "False\n"

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,27 @@ def test_graph_invariants_enforced():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
     assert g.m == 2  # duplicates collapse
 
+
+
+def test_from_edges_checks_in_order():
+    with pytest.raises(ValueError, match=r"^vertex count must be nonnegative$"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match=r"^edge \(2,2\) out of range 0..1$"):
+        Graph.from_edges(2, [(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        Graph.from_edges(2, [(0, 1), (1, 1), (0, 5)])
+
+
+def test_from_edges_builds_compact_tables():
+    """Each neighbourhood is as small as a frozenset copied from a set,
+    even with duplicate edges; a frozenset built straight from a list
+    keeps the growth slack of its table."""
+    rng = random.Random(7)
+    n = 200
+    edges = [(v, w) for v in range(n) for w in rng.sample(range(n), v % 40) if v != w]
+    g = Graph.from_edges(n, edges + edges[::3])
+    for v in range(n):
+        assert sys.getsizeof(g.adj[v]) <= sys.getsizeof(frozenset(set(g.adj[v])))
 
 def test_simplicial_examples():
     k3 = fx.clique(3)
