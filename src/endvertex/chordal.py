@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import DisconnectedGraphError, NotChordalError
-from .graph import Graph, is_connected
+from .graph import Graph
 
 
 def mcs_order(g: Graph, start: int = 0) -> list[int]:
@@ -119,7 +119,7 @@ def peo_violation(g: Graph, order) -> tuple[int, int, int] | None:
     return v, u, next(x for x in later if x != u and x not in adj_u)
 
 
-def clique_tree(g: Graph, order: list[int] | None = None) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
+def clique_tree(g: Graph) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
     """Maximal cliques and clique-tree edges of a connected chordal graph.
 
     Walks an MCS visit order: a new maximal clique starts whenever the
@@ -132,10 +132,7 @@ def clique_tree(g: Graph, order: list[int] | None = None) -> tuple[list[frozense
     n = g.n
     if n == 0:
         return [], []
-    if order is None:
-        order = mcs_order(g)
-    elif not is_connected(g):
-        raise DisconnectedGraphError("clique_tree requires a connected graph")
+    order = mcs_order(g)
     if peo_violation(g, list(reversed(order))) is not None:
         raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
     visit_index = _position_map(order, n)

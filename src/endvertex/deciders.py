@@ -197,7 +197,8 @@ def decide_dfs_claw_net_free(g: Graph, t: int, verify_class: bool = False) -> bo
 def decide_dfs_interval(g: Graph, t: int, subset_guard: int = 20) -> bool:
     """On a connected interval graph, t is a DFS end-vertex iff the
     subgraph induced by N(t), taken as one graph, has a hamiltonian
-    path."""
+    path.  Raises GuardExceededError when G[N(t)] is connected and has
+    more than `subset_guard` vertices."""
     _check_target(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError("interval DFS decider requires a connected graph")
@@ -205,9 +206,10 @@ def decide_dfs_interval(g: Graph, t: int, subset_guard: int = 20) -> bool:
 
 
 def _dfs_interval(g: Graph, t: int, subset_guard: int = 20) -> bool:
-    """Assumes g connected and interval."""
+    """Assumes g connected and interval.  A disconnected G[N(t)] (t a
+    cut vertex) has no hamiltonian path, whatever its size."""
     sub, _ = induced_subgraph(g, g.adj[t])
-    return hamiltonian_path(sub, guard=subset_guard) is not None
+    return is_connected(sub) and hamiltonian_path(sub, guard=subset_guard) is not None
 
 
 def hamiltonian_path(g: Graph, guard: int = 20) -> list[int] | None:
@@ -347,6 +349,13 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
         return DispatchResult(verdict, method, detail,
                               tuple(witness) if witness is not None else None, tags)
 
+    def oracle_or_unknown(detail: str | None, unknown_detail: str) -> DispatchResult:
+        try:
+            ok, witness = is_endvertex_exhaustive(g, kind, t, guard=oracle_guard)
+        except GuardExceededError:
+            return result(Verdict.UNKNOWN, "none", unknown_detail)
+        return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle", detail, witness)
+
     if kind in (SearchKind.MNS, SearchKind.MCS, SearchKind.LDFS) and "unit-interval" in certs:
         ok, why = _unit_interval_explain(g, t, name_of=name_of)
         return result(Verdict.YES if ok else Verdict.NO, "unit-interval characterization", why)
@@ -361,42 +370,29 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
         return result(Verdict.YES if ok else Verdict.NO, "cut-vertex characterization",
                       None if ok else f"vertex {name_of(t)} is a cut vertex")
     if kind is SearchKind.DFS and "interval" in certs:
-        ok = _dfs_interval(g, t)
+        try:
+            ok = _dfs_interval(g, t)
+        except GuardExceededError as exc:
+            why = (f"interval DFS test: G[N({name_of(t)})] has {exc.size} vertices, "
+                   f"over the hamiltonian path guard of {exc.guard}")
+            return oracle_or_unknown(why, why + ", and the graph is over the oracle guard")
         return result(Verdict.YES if ok else Verdict.NO, "interval DFS characterization",
                       None if ok else f"G[N({name_of(t)})] has no hamiltonian path")
     if kind is SearchKind.MCS and "interval" in certs:
         if _mcs_interval_verdict(g, certs["interval"], t) is Verdict.YES:
             return result(Verdict.YES, "interval MCS sufficient condition")
-        fallback = _oracle_fallback(g, t, kind, oracle_guard)
-        if fallback is not None:
-            ok, witness = fallback
-            return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle",
-                          "MCS on general interval graphs has no full characterization in scope",
-                          witness)
-        return result(Verdict.UNKNOWN, "none",
-                      "no polynomial characterization in scope (MCS on interval graphs is open)")
-
-    fallback = _oracle_fallback(g, t, kind, oracle_guard)
-    if fallback is not None:
-        ok, witness = fallback
-        return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle", None, witness)
-    return result(Verdict.UNKNOWN, "none", "no polynomial characterization in scope")
-
-
-def _oracle_fallback(g: Graph, t: int, kind: SearchKind, oracle_guard: int | None):
-    try:
-        ok, witness = is_endvertex_exhaustive(g, kind, t, guard=oracle_guard)
-    except GuardExceededError:
-        return None
-    return ok, witness
+        return oracle_or_unknown(
+            "MCS on general interval graphs has no full characterization in scope",
+            "no polynomial characterization in scope (MCS on interval graphs is open)")
+    return oracle_or_unknown(None, "no polynomial characterization in scope")
 
 
 def _detect_classes(g: Graph, hint: str) -> dict[str, object]:
     """Class tag -> the certificate that established it: a PEO
-    ("chordal"), a SplitPartition or the degree-test verdict True
-    ("split"), a CliqueOrder ("interval"), a unit interval order
-    ("unit-interval"), True ("claw-net-free").  A class implied by
-    another one maps to None.  g is connected (checked by dispatch)."""
+    ("chordal"), a SplitPartition ("split"), a CliqueOrder ("interval"),
+    a unit interval order ("unit-interval"), True ("claw-net-free").  A
+    class implied by another one maps to None.  g is connected (checked
+    by dispatch)."""
     if hint != "auto":
         if hint == "split":
             part = recognize_split(g)
@@ -421,8 +417,9 @@ def _detect_classes(g: Graph, hint: str) -> dict[str, object]:
     peo = recognize_chordal(g)
     if peo is not None:
         certs["chordal"] = peo
-        if is_split(g):
-            certs["split"] = True
+        part = recognize_split(g)
+        if part is not None:
+            certs["split"] = part
         order = recognize_interval(g)
         if order is not None:
             certs["interval"] = order

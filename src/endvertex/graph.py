@@ -25,7 +25,7 @@ class Graph:
     points demand it, construction does not.
     """
 
-    __slots__ = ("adj", "_masks")
+    __slots__ = ("adj",)
 
     def __init__(self, adjacency: Sequence[Iterable[int]]):
         adj = tuple(frozenset(nbrs) for nbrs in adjacency)
@@ -39,7 +39,6 @@ class Graph:
                 if v not in adj[w]:
                     raise ValueError(f"asymmetric adjacency: {v} -> {w} without {w} -> {v}")
         self.adj = adj
-        self._masks: tuple[int, ...] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -58,7 +57,6 @@ class Graph:
         # frozenset(set(...)) and not frozenset(list): a frozenset copied
         # from a set is presized, one built from a list keeps the growth slack.
         g.adj = tuple(frozenset(set(nbrs)) for nbrs in adj)
-        g._masks = None
         return g
 
     @property
@@ -88,16 +86,15 @@ class Graph:
                     yield (u, v)
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor sets as integer bitmasks (computed lazily)."""
-        if self._masks is None:
-            masks = []
-            for nbrs in self.adj:
-                m = 0
-                for w in nbrs:
-                    m |= 1 << w
-                masks.append(m)
-            self._masks = tuple(masks)
-        return self._masks
+        """Per-vertex neighbor sets as integer bitmasks (n-bit ints, built
+        on each call; meant for small graphs)."""
+        masks = []
+        for nbrs in self.adj:
+            m = 0
+            for w in nbrs:
+                m |= 1 << w
+            masks.append(m)
+        return tuple(masks)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj
@@ -238,7 +235,6 @@ def induced_subgraph(g: Graph, vertices: Collection[int]) -> tuple[Graph, tuple[
     adj = [frozenset(index[w] for w in g.adj[old] if w in index) for old in keep]
     sub = Graph.__new__(Graph)
     sub.adj = tuple(adj)
-    sub._masks = None
     return sub, tuple(keep)
 
 
@@ -249,7 +245,6 @@ def complement(g: Graph) -> Graph:
     adj = [full - g.adj[v] - {v} for v in range(n)]
     comp = Graph.__new__(Graph)
     comp.adj = tuple(adj)
-    comp._masks = None
     return comp
 
 

@@ -51,22 +51,28 @@ def validate_split_partition(g: Graph, part: SplitPartition) -> bool:
 
 
 def is_split(g: Graph) -> bool:
-    """Degree-sequence split test (linear).
+    """Degree-sequence split test (linear apart from one sort)."""
+    return _degree_split(g) is not None
+
+
+def _degree_split(g: Graph) -> tuple[list[int], int] | None:
+    """The vertices by descending degree (ties by smaller id) and m*, or
+    None when the degree test finds g not split.
 
     With degrees d_1 >= ... >= d_n and m* = max{i : d_i >= i-1}, the
     graph is split iff sum_{i<=m*} d_i = m*(m*-1) + sum_{i>m*} d_i.
     """
-    n = g.n
-    if n == 0:
-        return True
-    degs = sorted((len(g.adj[v]) for v in range(n)), reverse=True)
+    adj = g.adj
+    # A stable sort keeps equal degrees in ascending id order.
+    by_degree = sorted(range(g.n), key=lambda v: len(adj[v]), reverse=True)
+    degs = [len(adj[v]) for v in by_degree]
     mstar = 0
-    for i in range(1, n + 1):
-        if degs[i - 1] >= i - 1:
+    for i, d in enumerate(degs, 1):
+        if d >= i - 1:
             mstar = i
-    head = sum(degs[:mstar])
-    tail = sum(degs[mstar:])
-    return head == mstar * (mstar - 1) + tail
+    if sum(degs[:mstar]) != mstar * (mstar - 1) + sum(degs[mstar:]):
+        return None
+    return by_degree, mstar
 
 
 def recognize_split(g: Graph) -> SplitPartition | None:
@@ -77,17 +83,10 @@ def recognize_split(g: Graph) -> SplitPartition | None:
     the clique, the smallest such vertex is promoted, keeping the clique
     side maximal.
     """
-    n = g.n
-    if not is_split(g):
+    split = _degree_split(g)
+    if split is None:
         return None
-    if n == 0:
-        return SplitPartition(frozenset(), frozenset())
-    by_degree = sorted(range(n), key=lambda v: (-len(g.adj[v]), v))
-    degs = [len(g.adj[v]) for v in by_degree]
-    mstar = 0
-    for i in range(1, n + 1):
-        if degs[i - 1] >= i - 1:
-            mstar = i
+    by_degree, mstar = split
     clique = set(by_degree[:mstar])
     indep = set(by_degree[mstar:])
     while True:

@@ -2,25 +2,31 @@
 eligibility rules over search prefixes.
 
 Every search is defined by one question: given the vertices visited so
-far (in order), which unvisited vertices may legally come next?
+far (in order), which unvisited vertices may legally come next?  Every
+answer reads one label per unvisited vertex: the positions of its
+visited neighbors, kept as a bitmask (bit i is set iff the i-th visited
+vertex is a neighbor).
 
-  Generic  unvisited vertices with a visited neighbor (all, if none visited)
-  BFS      minimize the position of the earliest visited neighbor
-  DFS      unvisited neighbors of the deepest vertex that still has any
+  Generic  a nonempty label (every vertex, if none is visited)
+  BFS      a nonempty label holding the lowest bit of all labels: the
+           earliest visited neighbor
+  DFS      a label holding the highest bit of all labels: a neighbor of
+           the latest visited vertex that still has an unvisited one
   LBFS     maximal label, earliest-first: at the smallest position where
-           exactly one of two candidates has a visited neighbor, it wins
-  LDFS     maximal label, latest-first: the largest such position wins
-  MCS      maximize the number of visited neighbors
-  MNS      visited-neighbor set inclusion-maximal among unvisited vertices
+           exactly one of two labels has its bit set, that label wins
+  LDFS     maximal label, latest-first: the largest such position wins,
+           which is plain integer comparison
+  MCS      maximal number of set bits (visited neighbors)
+  MNS      labels that no other label strictly contains
+
+Once no unvisited vertex has a visited neighbor (a disconnected graph),
+Generic, BFS and DFS have nothing eligible, while under the other four
+every label is empty, hence maximal, and every unvisited vertex is
+eligible.
 
 Generators (`run_search`) resolve the remaining nondeterminism with a
 tie-break policy; validators (`validate_order`) replay a given ordering
 step by step and report the first violation.
-
-Labels are never materialized as strings: LBFS/LDFS comparisons run on
-visited-neighbor position bitmasks (latest-first is plain integer
-comparison; earliest-first compares the lowest differing bit), and MNS
-labels are neighbor bitmasks intersected with the visited mask.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 from typing import Callable, Sequence
 
 from .chordal import _position_map
@@ -114,133 +122,100 @@ HIGHEST_ID = HighestId()
 class SearchReplay:
     """Incremental prefix state for one search kind on one graph.
 
-    Supports advance/retreat so enumerators can walk the prefix tree
-    without recomputing labels from scratch.  The label state is always
+    Besides the prefix, the state is one label per vertex: for an
+    unvisited vertex, the bitmask of the positions of its visited
+    neighbors (bit i is set iff the i-th visited vertex is a neighbor).
+    Every kind reads its rule off these labels, and advance/retreat
+    update them the same way for every kind, so enumerators can walk the
+    prefix tree without recomputing labels.  The labels are always
     exactly a function of the current prefix.
     """
 
-    __slots__ = ("g", "kind", "n", "adj", "masks", "order", "pos", "visited_mask",
-                 "full_mask", "count", "first_seen", "posmask", "_undo")
+    __slots__ = ("kind", "n", "adj", "order", "pos", "label", "visited_mask", "full_mask")
 
     def __init__(self, g: Graph, kind: SearchKind):
-        self.g = g
         self.kind = kind
         self.n = g.n
         self.adj = g.adj
-        self.masks = g.adjacency_masks()
         self.order: list[int] = []
         self.pos = [-1] * g.n
+        self.label = [0] * g.n
         self.visited_mask = 0
         self.full_mask = (1 << g.n) - 1
-        self.count = [0] * g.n if kind is SearchKind.MCS else None
-        self.first_seen = [-1] * g.n if kind is SearchKind.BFS else None
-        self.posmask = [0] * g.n if kind in (SearchKind.LBFS, SearchKind.LDFS) else None
-        self._undo: list[list[int]] = []
 
     def advance(self, v: int) -> None:
-        if self.pos[v] >= 0:
+        pos, label = self.pos, self.label
+        if pos[v] >= 0:
             raise ValueError(f"vertex {v} already visited")
         i = len(self.order)
-        self.pos[v] = i
+        pos[v] = i
         self.order.append(v)
         self.visited_mask |= 1 << v
-        touched: list[int] = []
-        if self.count is not None:
-            for w in self.adj[v]:
-                if self.pos[w] < 0:
-                    self.count[w] += 1
-                    touched.append(w)
-        elif self.first_seen is not None:
-            for w in self.adj[v]:
-                if self.pos[w] < 0 and self.first_seen[w] < 0:
-                    self.first_seen[w] = i
-                    touched.append(w)
-        elif self.posmask is not None:
-            bit = 1 << i
-            for w in self.adj[v]:
-                if self.pos[w] < 0:
-                    self.posmask[w] |= bit
-                    touched.append(w)
-        self._undo.append(touched)
+        bit = 1 << i
+        for w in self.adj[v]:
+            if pos[w] < 0:
+                label[w] |= bit
 
     def retreat(self) -> None:
+        pos, label = self.pos, self.label
         v = self.order.pop()
-        i = len(self.order)
-        touched = self._undo.pop()
-        self.pos[v] = -1
-        self.visited_mask &= ~(1 << v)
-        if self.count is not None:
-            for w in touched:
-                self.count[w] -= 1
-        elif self.first_seen is not None:
-            for w in touched:
-                self.first_seen[w] = -1
-        elif self.posmask is not None:
-            bit = 1 << i
-            for w in touched:
-                self.posmask[w] &= ~bit
+        pos[v] = -1
+        self.visited_mask ^= 1 << v
+        bit = 1 << len(self.order)
+        # The unvisited neighbors are again exactly those that advance(v) marked.
+        for w in self.adj[v]:
+            if pos[w] < 0:
+                label[w] ^= bit
 
     def unvisited(self) -> list[int]:
-        return [v for v in range(self.n) if self.pos[v] < 0]
+        return [v for v, p in enumerate(self.pos) if p < 0]
 
     def eligible(self) -> list[int]:
         """Vertices a valid step may visit next, ascending."""
-        kind = self.kind
-        cand = self.unvisited()
-        if not self.order or not cand:
-            return cand
-        if kind is SearchKind.GENERIC:
-            vm = self.visited_mask
-            return [v for v in cand if self.masks[v] & vm]
-        if kind is SearchKind.BFS:
-            seen = [v for v in cand if self.first_seen[v] >= 0]
-            if not seen:
-                return []
-            best = min(self.first_seen[v] for v in seen)
-            return [v for v in seen if self.first_seen[v] == best]
+        if not self.order:
+            return list(range(self.n))
+        kind, pos, label = self.kind, self.pos, self.label
         if kind is SearchKind.DFS:
-            unvis_mask = self.full_mask & ~self.visited_mask
-            for v in reversed(self.order):
-                free = self.masks[v] & unvis_mask
-                if free:
-                    return _bits(free)
-            return []
+            # The latest position in any label is that of the latest visited
+            # vertex with an unvisited neighbor; the labels holding it are
+            # exactly those neighbors'.
+            top = max([lab for p, lab in zip(pos, label) if p < 0 and lab], default=0)
+            if not top:
+                return []
+            return sorted([w for w in self.adj[self.order[top.bit_length() - 1]] if pos[w] < 0])
+        if kind is SearchKind.GENERIC or kind is SearchKind.BFS:
+            cand = [v for v, p in enumerate(pos) if p < 0 and label[v]]
+            if not cand or kind is SearchKind.GENERIC:
+                return cand
+            low = reduce(or_, map(label.__getitem__, cand))
+            low &= -low  # the earliest position in any label
+            return [v for v in cand if label[v] & low]
+        cand = self.unvisited()
+        if not cand:
+            return cand
         if kind is SearchKind.MCS:
-            best = max(self.count[v] for v in cand)
-            return [v for v in cand if self.count[v] == best]
+            counts = [label[v].bit_count() for v in cand]
+            best = max(counts)
+            return [v for v, c in zip(cand, counts) if c == best]
         if kind is SearchKind.LDFS:
-            # Latest-first label comparison is integer comparison of
-            # position bitmasks.
-            best = max(self.posmask[v] for v in cand)
-            return [v for v in cand if self.posmask[v] == best]
-        if kind is SearchKind.LBFS:
-            best = cand[0]
-            bm = self.posmask[best]
+            # Latest-first label comparison is integer comparison.
+            best = max(label[v] for v in cand)
+        elif kind is SearchKind.LBFS:
+            best = label[cand[0]]
             for v in cand[1:]:
-                if _lbfs_beats(self.posmask[v], bm):
-                    best, bm = v, self.posmask[v]
-            return [v for v in cand if self.posmask[v] == bm]
-        if kind is SearchKind.MNS:
-            vm = self.visited_mask
-            labels = [(v, self.masks[v] & vm) for v in cand]
+                if _lbfs_beats(label[v], best):
+                    best = label[v]
+        else:  # MNS: labels that no other label strictly contains
+            labels = [label[v] for v in cand]
             out = []
-            for v, lab in labels:
-                for _, other in labels:
+            for v, lab in zip(cand, labels):
+                for other in labels:
                     if lab != other and lab & other == lab:
                         break
                 else:
                     out.append(v)
             return out
-        raise AssertionError(kind)
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+        return [v for v in cand if label[v] == best]
 
 
 def _lbfs_beats(a: int, b: int) -> bool:

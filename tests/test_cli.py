@@ -253,6 +253,39 @@ def test_cli_oracle_on_a_long_path_has_no_recursion_limit(tmp_path, capsys):
     assert captured.out.strip() == "end vertices: 1499" and captured.err == ""
 
 
+def _dfs_interval_query(tmp_path, name, n, edges):
+    path = tmp_path / f"{name}.graph"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return ["endvertex", str(path), "--class", "interval", "--kind", "dfs", "--target", "0",
+            "--json"]
+
+
+def test_cli_dfs_interval_star_centre_is_no_past_the_path_guard(tmp_path, capsys):
+    """G[N(t)] of a 21-leaf star's centre is disconnected, so it has no
+    hamiltonian path whatever the dynamic program's guard."""
+    query = _dfs_interval_query(tmp_path, "star21", 22, [(0, i) for i in range(1, 22)])
+    assert main(query) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["answer"] == "no" and doc["method"] == "interval DFS characterization"
+
+
+def test_cli_dfs_interval_falls_back_when_the_path_guard_refuses(tmp_path, capsys):
+    """A fan (hub 0 on a 21-vertex path) has a connected 21-vertex G[N(0)]:
+    the hamiltonian path program refuses it, so the oracle answers when
+    its guard allows and the answer is Unknown, with the reason, when not."""
+    edges = [(0, i) for i in range(1, 22)] + [(i, i + 1) for i in range(1, 21)]
+    query = _dfs_interval_query(tmp_path, "fan21", 22, edges)
+    assert main(query) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["answer"] == "unknown" and doc["method"] == "none"
+    assert "hamiltonian path guard" in doc["detail"] and captured.err == ""
+    assert main(query + ["--oracle-guard", "22"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["answer"] == "yes" and doc["method"] == "exhaustive oracle"
+    assert doc["witness"][-1] == "0"
+
+
 def test_cli_names_resolve_before_raw_indices(tmp_path, capsys):
     path = tmp_path / "digits.graph"
     path.write_text("# names 1 0 x\n3 2\n1 0\n0 x\n")

@@ -24,7 +24,8 @@ from endvertex import (
     mcs_interval_sufficient,
     recognize_interval,
 )
-from endvertex.deciders import _outside_component_neighborhoods
+from endvertex.deciders import _detect_classes, _outside_component_neighborhoods
+from endvertex.recognize import SplitPartition, validate_split_partition
 
 K = SearchKind
 
@@ -84,6 +85,12 @@ def test_dfs_interval_examples():
     assert decide_dfs_interval(jump, nmj["t"])
     assert nmj["t"] in endvertex_set_exhaustive(jump, K.DFS)
     assert not decide_dfs_interval(fx.claw(), 0)
+    # A cut vertex's G[N(t)] is disconnected: No at any size, while a
+    # connected G[N(t)] past the dynamic program's guard still raises.
+    assert not decide_dfs_interval(fx.star(21), 0)
+    fan = Graph.from_edges(22, [(0, i) for i in range(1, 22)] + [(i, i + 1) for i in range(1, 21)])
+    with pytest.raises(GuardExceededError):
+        decide_dfs_interval(fan, 0)
 
 
 def test_unit_interval_example_matches_three_oracles():
@@ -186,6 +193,14 @@ def test_dispatch_honours_a_raised_oracle_guard():
     res = dispatch_endvertex(g, 0, K.BFS, oracle_guard=13)
     assert res.verdict is Verdict.YES and res.method == "exhaustive oracle"
     assert dispatch_endvertex(g, 0, K.BFS).verdict is Verdict.UNKNOWN
+
+
+def test_auto_detection_certifies_split_with_a_partition():
+    rng = random.Random(4107)
+    for _ in range(30):
+        g = fx.rand_split(rng, rng.randint(2, 9))
+        part = _detect_classes(g, "auto")["split"]
+        assert isinstance(part, SplitPartition) and validate_split_partition(g, part)
 
 
 def test_dispatch_verifies_class_hints():

@@ -12,6 +12,8 @@ from endvertex import (
     SearchKind,
     SeededRandom,
     eligible_set,
+    endvertex_set_exhaustive,
+    is_endvertex_exhaustive,
     run_search,
     validate_order,
 )
@@ -169,3 +171,78 @@ def test_search_kind_parse():
     assert SearchKind.parse(" lbfs ") is K.LBFS
     with pytest.raises(ValueError):
         SearchKind.parse("dijkstra")
+
+
+def reference_eligible(kind, g, prefix):
+    """Each rule of the search module's docstring, computed from scratch:
+    the positions of every unvisited vertex's visited neighbors, compared
+    as the classical labels (no replay state, no bitmasks)."""
+    n = g.n
+    pos = {v: i for i, v in enumerate(prefix)}
+    rest = [v for v in range(n) if v not in pos]
+    if not prefix:
+        return frozenset(rest)
+    seen = {v: sorted(pos[w] for w in g.adj[v] if w in pos) for v in rest}
+    reached = [v for v in rest if seen[v]]
+
+    def best(key, among):
+        top = max(key(v) for v in among)
+        return frozenset(v for v in among if key(v) == top)
+
+    if kind is K.GENERIC:
+        return frozenset(reached)
+    if kind is K.BFS:
+        return best(lambda v: -seen[v][0], reached) if reached else frozenset()
+    if kind is K.DFS:
+        for u in reversed(prefix):
+            fresh = [w for w in g.adj[u] if w not in pos]
+            if fresh:
+                return frozenset(fresh)
+        return frozenset()
+    if kind is K.LBFS:
+        # Visiting the i-th vertex appends n - i to its neighbors' labels;
+        # the lexicographically largest label wins.
+        return best(lambda v: tuple(n - i for i in seen[v]), rest)
+    if kind is K.LDFS:
+        # Visiting the i-th vertex prepends i to its neighbors' labels.
+        return best(lambda v: tuple(reversed(seen[v])), rest)
+    if kind is K.MCS:
+        return best(lambda v: len(seen[v]), rest)
+    if kind is K.MNS:
+        sets = {v: set(seen[v]) for v in rest}
+        return frozenset(v for v in rest if not any(sets[v] < sets[w] for w in rest))
+    raise AssertionError(kind)
+
+
+def test_eligible_set_matches_a_from_scratch_reference():
+    """Arbitrary prefixes (not only valid ones) on random graphs, a third
+    of them disconnected, for every kind."""
+    rng = random.Random(3005)
+    for trial in range(400):
+        n = rng.randint(1, 9)
+        if trial % 3:
+            g = fx.rand_connected_graph(rng, n)
+        else:
+            p = rng.uniform(0.0, 0.6)
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
+        for _ in range(4):
+            prefix = rng.sample(range(n), rng.randint(0, n - 1))
+            for kind in ALL_KINDS:
+                assert eligible_set(kind, g, prefix) == reference_eligible(kind, g, prefix), \
+                    (trial, kind, prefix, sorted(g.edges()))
+
+
+def test_search_engine_needs_no_adjacency_masks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("adjacency_masks called")
+
+    monkeypatch.setattr(Graph, "adjacency_masks", refuse)
+    rng = random.Random(3006)
+    for _ in range(10):
+        g = fx.rand_connected_graph(rng, rng.randint(2, 7))
+        for kind in ALL_KINDS:
+            order = run_search(kind, g, policy=SeededRandom(rng.getrandbits(32)))
+            assert validate_order(kind, g, order) == (True, None)
+            assert order[-1] in endvertex_set_exhaustive(g, kind)
+            assert is_endvertex_exhaustive(g, kind, order[-1])[0]
