@@ -33,7 +33,6 @@ from .errors import (
 from .graph import (
     Graph,
     complement,
-    connected_components,
     cut_vertices,
     induced_subgraph,
     is_connected,

@@ -437,7 +437,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GuardExceededError as exc:
-        print(f"error: {exc} (raise the guard flag to proceed)", file=sys.stderr)
+        # `endvertex` answers Unknown past its guards, so this comes from
+        # `oracle`, whose guard has a flag, or from `reduce`'s brute-force
+        # SAT, whose guard has none and is reported bare.
+        raise_it = " (raise --guard to proceed)" if args.command == "oracle" else ""
+        print(f"error: {exc}{raise_it}", file=sys.stderr)
         return 1
     except RecursionError:
         print("error: input too large for a recursive step (interpreter recursion limit reached)",

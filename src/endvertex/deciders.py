@@ -1,13 +1,14 @@
 """End-vertex deciders for chordal graph classes, with linear-time
-contracts, plus a dispatcher that routes (graph class, search kind) to
-the strongest applicable characterization.
+contracts, plus a dispatcher that routes a query to the strongest
+characterization its search kind has.
 
 The public deciders check connectivity, and their class where a linear
 check exists (chordal, split); unit interval and (claw, net)-free
 membership is checked only with verify_class=True (desk scale).  The
 private `_*_explain` helpers assume every precondition:
-`dispatch_endvertex` establishes connectivity and each class once, with
-its certificate, and calls them directly.
+`dispatch_endvertex` checks connectivity once, recognizes only the
+classes the query's kind can use, each at most once and with its
+certificate, and calls them directly.
 """
 
 from __future__ import annotations
@@ -319,20 +320,45 @@ class DispatchResult:
     classes: tuple[str, ...] = ()
 
 
-_HINTS = ("auto", "split", "chordal", "interval", "unit-interval")
+# Class -> (recognizer returning its certificate or None, the class it
+# presumes).  The lambdas look each recognizer up when called, so a
+# recognizer patched on this module is the one that runs.
+_RECOGNIZERS = {
+    "chordal": (lambda g: recognize_chordal(g), None),
+    "split": (lambda g: recognize_split(g), "chordal"),
+    "interval": (lambda g: recognize_interval(g), "chordal"),
+    "unit-interval": (lambda g: recognize_unit_interval(g), "interval"),
+    "claw-net-free": (lambda g: is_claw_net_free(g) or None, None),
+}
+# Class hint -> the classes it implies.
+_IMPLIES = {
+    "split": ("chordal",),
+    "chordal": (),
+    "interval": ("chordal",),
+    "unit-interval": ("interval", "chordal", "claw-net-free"),
+}
+_HINTS = ("auto", *_IMPLIES)
 
 
 def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | None = None,
                        oracle_guard: int | None = None, name_of=str) -> DispatchResult:
     """Route an end-vertex query to the strongest applicable decider.
 
-    Recognizers run first (or validate the supplied hint; a hint whose
-    certificate fails is a ClassMismatchError).  Preference order is
-    unit-interval > split > chordal characterizations, then the
-    exhaustive oracle under `oracle_guard` (None: the oracle's default
-    for the kind), then UNKNOWN with the reason.
-    Connectivity and each class are established once, here; the
-    deciders below trust them instead of checking again.
+    Each kind tries the characterizations it has, complete ones first
+    and the cheaper recognizer first among those: MNS chordal; MCS
+    split, then unit interval, then the interval sufficient condition;
+    LDFS unit interval; DFS claw-net-free, then interval.  GENERIC, BFS
+    and LBFS have none.  What is left goes to the exhaustive oracle under
+    `oracle_guard` (None: the oracle's default for the kind), then to
+    UNKNOWN with the reason.
+
+    A class is recognized the first time a route asks for it, and at
+    most once, together with the class it presumes.  A class hint is
+    validated up front (a failed certificate is a ClassMismatchError);
+    then the hint and the classes it implies are the only classes that
+    hold.  `classes` of the result lists the classes established while
+    answering.  Connectivity is checked once, here; the deciders below
+    trust it and the class instead of checking again.
     """
     _check_target(g, t)
     if not is_connected(g):
@@ -341,13 +367,28 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     if hint not in _HINTS:
         raise ValueError(f"unknown class hint {hint!r} (expected one of {_HINTS})")
 
-    certs = _detect_classes(g, hint)
-    tags = tuple(sorted(certs))
+    # Class -> its certificate (True when implied by the hint), or None
+    # when the class does not hold.
+    certs: dict[str, object] = {}
+    if hint != "auto":
+        cert = _RECOGNIZERS[hint][0](g)
+        if cert is None:
+            raise ClassMismatchError(f"class hint {hint!r} failed certificate validation")
+        certs = dict.fromkeys(_RECOGNIZERS)
+        certs.update(dict.fromkeys(_IMPLIES[hint], True))
+        certs[hint] = cert
+
+    def holds(cls: str) -> object:
+        if cls not in certs:
+            recognizer, presumed = _RECOGNIZERS[cls]
+            certs[cls] = recognizer(g) if presumed is None or holds(presumed) else None
+        return certs[cls]
 
     def result(verdict: Verdict, method: str, detail: str | None = None,
                witness: list[int] | None = None) -> DispatchResult:
         return DispatchResult(verdict, method, detail,
-                              tuple(witness) if witness is not None else None, tags)
+                              tuple(witness) if witness is not None else None,
+                              tuple(sorted(c for c, cert in certs.items() if cert is not None)))
 
     def oracle_or_unknown(detail: str | None, unknown_detail: str) -> DispatchResult:
         try:
@@ -356,20 +397,20 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
             return result(Verdict.UNKNOWN, "none", unknown_detail)
         return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle", detail, witness)
 
-    if kind in (SearchKind.MNS, SearchKind.MCS, SearchKind.LDFS) and "unit-interval" in certs:
-        ok, why = _unit_interval_explain(g, t, name_of=name_of)
-        return result(Verdict.YES if ok else Verdict.NO, "unit-interval characterization", why)
-    if kind is SearchKind.MCS and "split" in certs:
-        ok, why = _mcs_split_explain(g, t, name_of=name_of)
-        return result(Verdict.YES if ok else Verdict.NO, "split MCS characterization", why)
-    if kind is SearchKind.MNS and "chordal" in certs:
+    if kind is SearchKind.MNS and holds("chordal"):
         ok, why = _mns_chordal_explain(g, t, name_of=name_of)
         return result(Verdict.YES if ok else Verdict.NO, "chordal MNS characterization", why)
-    if kind is SearchKind.DFS and "claw-net-free" in certs:
+    if kind is SearchKind.MCS and holds("split"):
+        ok, why = _mcs_split_explain(g, t, name_of=name_of)
+        return result(Verdict.YES if ok else Verdict.NO, "split MCS characterization", why)
+    if kind in (SearchKind.MCS, SearchKind.LDFS) and holds("unit-interval"):
+        ok, why = _unit_interval_explain(g, t, name_of=name_of)
+        return result(Verdict.YES if ok else Verdict.NO, "unit-interval characterization", why)
+    if kind is SearchKind.DFS and holds("claw-net-free"):
         ok = decide_dfs_claw_net_free(g, t)
         return result(Verdict.YES if ok else Verdict.NO, "cut-vertex characterization",
                       None if ok else f"vertex {name_of(t)} is a cut vertex")
-    if kind is SearchKind.DFS and "interval" in certs:
+    if kind is SearchKind.DFS and holds("interval"):
         try:
             ok = _dfs_interval(g, t)
         except GuardExceededError as exc:
@@ -378,57 +419,13 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
             return oracle_or_unknown(why, why + ", and the graph is over the oracle guard")
         return result(Verdict.YES if ok else Verdict.NO, "interval DFS characterization",
                       None if ok else f"G[N({name_of(t)})] has no hamiltonian path")
-    if kind is SearchKind.MCS and "interval" in certs:
+    if kind is SearchKind.MCS and holds("interval"):
         if _mcs_interval_verdict(g, certs["interval"], t) is Verdict.YES:
             return result(Verdict.YES, "interval MCS sufficient condition")
         return oracle_or_unknown(
             "MCS on general interval graphs has no full characterization in scope",
             "no polynomial characterization in scope (MCS on interval graphs is open)")
     return oracle_or_unknown(None, "no polynomial characterization in scope")
-
-
-def _detect_classes(g: Graph, hint: str) -> dict[str, object]:
-    """Class tag -> the certificate that established it: a PEO
-    ("chordal"), a SplitPartition ("split"), a CliqueOrder ("interval"),
-    a unit interval order ("unit-interval"), True ("claw-net-free").  A
-    class implied by another one maps to None.  g is connected (checked
-    by dispatch)."""
-    if hint != "auto":
-        if hint == "split":
-            part = recognize_split(g)
-            if part is None:
-                raise ClassMismatchError("class hint 'split' failed certificate validation")
-            return {"split": part, "chordal": None}
-        if hint == "chordal":
-            peo = recognize_chordal(g)
-            if peo is None:
-                raise ClassMismatchError("class hint 'chordal' failed certificate validation")
-            return {"chordal": peo}
-        if hint == "interval":
-            order = recognize_interval(g)
-            if order is None:
-                raise ClassMismatchError("class hint 'interval' failed certificate validation")
-            return {"interval": order, "chordal": None}
-        unit = recognize_unit_interval(g)
-        if unit is None:
-            raise ClassMismatchError("class hint 'unit-interval' failed certificate validation")
-        return {"unit-interval": unit, "interval": None, "chordal": None, "claw-net-free": None}
-    certs: dict[str, object] = {}
-    peo = recognize_chordal(g)
-    if peo is not None:
-        certs["chordal"] = peo
-        part = recognize_split(g)
-        if part is not None:
-            certs["split"] = part
-        order = recognize_interval(g)
-        if order is not None:
-            certs["interval"] = order
-            unit = recognize_unit_interval(g)
-            if unit is not None:
-                certs["unit-interval"] = unit
-    if is_claw_net_free(g):
-        certs["claw-net-free"] = True
-    return certs
 
 
 def _check_target(g: Graph, t: int) -> None:

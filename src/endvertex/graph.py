@@ -146,29 +146,6 @@ def is_connected(g: Graph) -> bool:
     return count == n
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as vertex lists (each sorted ascending)."""
-    n = g.n
-    seen = bytearray(n)
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    queue.append(w)
-        comp.sort()
-        comps.append(comp)
-    return comps
-
-
 def cut_vertices(g: Graph) -> frozenset:
     """Articulation vertices of a connected graph, in linear time.
 

@@ -293,7 +293,12 @@ def unit_interval_order_ending_at(g: Graph, t: int) -> list[int] | None:
 
 
 def is_claw_net_free(g: Graph) -> bool:
-    """No induced K_{1,3} and no induced net (triangle with three pendants)."""
+    """No induced K_{1,3} and no induced net (triangle with three pendants).
+
+    Not linear: the claw test looks at every triple of neighbours of
+    each vertex, and the net test lists the triangles a < b < c edge by
+    edge, with c in N(a) & N(b) (Chiba and Nishizeki 1985), then looks
+    for three independent pendants on each."""
     n = g.n
     adj = g.adj
     for center in range(n):
@@ -301,9 +306,7 @@ def is_claw_net_free(g: Graph) -> bool:
         for a, b, c in combinations(nbrs, 3):
             if b not in adj[a] and c not in adj[a] and c not in adj[b]:
                 return False
-    for a, b, c in combinations(range(n), 3):
-        if b not in adj[a] or c not in adj[a] or c not in adj[b]:
-            continue
+    for a, b, c in _triangles(g):
         tri = {a, b, c}
         pend_a = [x for x in adj[a] if x not in tri and x not in adj[b] and x not in adj[c]]
         if not pend_a:
@@ -320,6 +323,16 @@ def is_claw_net_free(g: Graph) -> bool:
                     if z not in (x, y) and z not in adj[x] and z not in adj[y]:
                         return False
     return True
+
+
+def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
+    adj = g.adj
+    for a in range(g.n):
+        for b in adj[a]:
+            if b > a:
+                for c in adj[a] & adj[b]:
+                    if c > b:
+                        yield a, b, c
 
 
 def is_weakly_chordal_desk(g: Graph, size_guard: int = 64) -> bool:

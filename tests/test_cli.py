@@ -230,6 +230,41 @@ def test_cli_recursion_limit_is_exit_1_without_traceback(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def _window_file(tmp_path, n):
+    """The window graph i ~ j iff |i - j| <= 3, a unit interval graph."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
+    path = tmp_path / f"window{n}.graph"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return str(path)
+
+
+def test_cli_auto_mns_and_dfs_on_a_long_window_recognize_only_linear_classes(tmp_path, capsys):
+    """MNS needs only chordality and DFS tests claw-net-freeness first, so
+    neither runs the recursive unit interval recognizer on 1000 vertices."""
+    path = _window_file(tmp_path, 1000)
+    for kind in ("mns", "dfs"):
+        assert main(["endvertex", path, "--kind", kind, "--target", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "Yes" and captured.err == ""
+
+
+def test_cli_guard_errors_name_only_flags_that_exist(tmp_path, capsys):
+    """`oracle` names its --guard flag; `reduce --witness` past the
+    brute-force SAT guard has no flag, so the limit is reported bare."""
+    assert main(["oracle", _path_file(tmp_path, 13), "--kind", "bfs"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: exhaustive bfs oracle: size 13 exceeds guard 12 (raise --guard to proceed)"]
+    cnf = tmp_path / "k25.cnf"
+    clauses = [(v, -(v % 25 + 1), v % 23 + 2) for v in range(1, 11)]
+    cnf.write_text("p cnf 25 10\n" + "".join(f"{a} {b} {c} 0\n" for a, b, c in clauses))
+    assert main(["reduce", str(cnf), "--search", "mns", "--witness"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: brute-force SAT: size 25 exceeds guard 24"]
+
+
 def _path_file(tmp_path, n):
     path = tmp_path / f"path{n}.graph"
     path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))

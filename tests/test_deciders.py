@@ -24,7 +24,8 @@ from endvertex import (
     mcs_interval_sufficient,
     recognize_interval,
 )
-from endvertex.deciders import _detect_classes, _outside_component_neighborhoods
+import endvertex.deciders as deciders
+from endvertex.deciders import _outside_component_neighborhoods
 from endvertex.recognize import SplitPartition, validate_split_partition
 
 K = SearchKind
@@ -195,12 +196,42 @@ def test_dispatch_honours_a_raised_oracle_guard():
     assert dispatch_endvertex(g, 0, K.BFS).verdict is Verdict.UNKNOWN
 
 
-def test_auto_detection_certifies_split_with_a_partition():
+def test_auto_detection_certifies_split_with_a_partition(monkeypatch):
+    """Auto MCS on a split graph answers by the split characterization,
+    on a split certificate that is a SplitPartition and validates."""
+    original = deciders.recognize_split
+    partitions = []
+
+    def recording(g):
+        partitions.append(original(g))
+        return partitions[-1]
+
+    monkeypatch.setattr(deciders, "recognize_split", recording)
     rng = random.Random(4107)
     for _ in range(30):
         g = fx.rand_split(rng, rng.randint(2, 9))
-        part = _detect_classes(g, "auto")["split"]
+        partitions.clear()
+        res = dispatch_endvertex(g, 0, K.MCS)
+        assert "split" in res.classes and res.method == "split MCS characterization"
+        (part,) = partitions
         assert isinstance(part, SplitPartition) and validate_split_partition(g, part)
+
+
+def test_dispatch_recognizes_only_what_the_kind_uses():
+    """Every class but split holds on a window graph (i ~ j iff
+    |i - j| <= 3), so the classes an auto query establishes are exactly
+    the recognizers its kind ran."""
+    n = 30
+    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))])
+    expected = {
+        K.MNS: ("chordal",),
+        K.GENERIC: (), K.BFS: (), K.LBFS: (),
+        K.LDFS: ("chordal", "interval", "unit-interval"),
+        K.MCS: ("chordal", "interval", "unit-interval"),
+        K.DFS: ("claw-net-free",),
+    }
+    for kind in SearchKind:
+        assert dispatch_endvertex(g, 0, kind).classes == expected[kind], kind
 
 
 def test_dispatch_verifies_class_hints():
@@ -212,17 +243,29 @@ def test_dispatch_verifies_class_hints():
 
 
 def test_dispatch_agrees_with_oracle_across_kinds():
+    """Every kind, auto-detected and under the hint of each fixture
+    family's class (claw-net-free has no hint)."""
     rng = random.Random(6004)
-    for _ in range(25):
-        g = fx.rand_connected_graph(rng, rng.randint(2, 8))
-        for kind in (K.BFS, K.DFS, K.MCS, K.MNS, K.LDFS):
-            exact = endvertex_set_exhaustive(g, kind)
-            for t in range(g.n):
-                res = dispatch_endvertex(g, t, kind)
-                if res.verdict is Verdict.UNKNOWN:
-                    continue
-                assert (res.verdict is Verdict.YES) == (t in exact), (
-                    f"kind={kind} t={t} method={res.method}")
+    families = (
+        (lambda n: fx.rand_connected_graph(rng, n), None),
+        (lambda n: fx.rand_chordal(rng, n, q=rng.choice((0.2, 0.5, 0.8))), "chordal"),
+        (lambda n: fx.rand_split(rng, n), "split"),
+        (lambda n: fx.rand_interval(rng, n), "interval"),
+        (lambda n: fx.rand_unit_interval(rng, n), "unit-interval"),
+        (lambda n: fx.rand_claw_net_free(rng, n), None),
+    )
+    for make, hint in families:
+        for _ in range(25):
+            g = make(rng.randint(2, 8))
+            for kind in SearchKind:
+                exact = endvertex_set_exhaustive(g, kind)
+                for t in range(g.n):
+                    for h in dict.fromkeys((None, hint)):
+                        res = dispatch_endvertex(g, t, kind, class_hint=h)
+                        if res.verdict is Verdict.UNKNOWN:
+                            continue
+                        assert (res.verdict is Verdict.YES) == (t in exact), (
+                            f"kind={kind} t={t} hint={h} method={res.method}")
 
 
 def test_empty_remainder_counts_as_connected():
