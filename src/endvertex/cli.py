@@ -380,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", required=True)
     p.add_argument("--start", default=None)
-    p.add_argument("--policy", choices=("lowest", "highest", "random"), default="lowest")
+    p.add_argument("--policy", choices=("lowest", "highest", "random"), default="lowest",
+                   help="tie-break: lowest or highest id first, or (random) a uniformly "
+                        "random vertex ranking drawn once from --seed")
     p.add_argument("--seed", type=int, default=0)
     add_json(p)
     p.set_defaults(func=cmd_search)

@@ -129,8 +129,9 @@ def randomized_endvertex_probe(g: Graph, kind: SearchKind, t: int, trials: int,
     Deterministic per seed.  A statistical smoke test for instances
     beyond the enumeration guards; zero hits is evidence, not proof.
     MCS runs as a numpy batch (one synchronized step per column,
-    uniform choice among maximum labels); other kinds loop run_search
-    with per-trial sub-seeds.
+    uniform choice among maximum labels); other kinds loop run_search,
+    each trial under a `SeededRandom` priority (one uniformly random
+    ranking of the vertices per trial) drawn from a per-trial sub-seed.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("probe requires a connected graph")

@@ -25,11 +25,11 @@ without reverse-engineering ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import GuardExceededError
 from .graph import Graph
-from .search import SearchKind, SearchReplay
+from .search import FixedPreference, SearchKind, run_search
 
 Literal = tuple[int, bool]  # (variable 1..k, polarity: True for x, False for negated x)
 Role = tuple  # ("s",) | ("b",) | ("t",) | ("s_prime",) | ("literal", var, pol) | ...
@@ -392,10 +392,23 @@ def witness_order_mcs(cnf: CnfFormula, assignment: dict[int, bool]) -> list[int]
     connectors of the last chosen literal, all of K, every remaining
     non-clause vertex, the clause vertices, and finally t.
 
-    Each phase picks only vertices that hold a maximum label at that
-    step; a violation raises (it would mean the construction or the
-    argument is wrong), and the result validates as an MCS order.
+    One MCS run prefers the phases in that order, each in id order.  It
+    leaves a phase early only where no phase vertex holds a maximum label,
+    which raises (the construction or the argument would be wrong).
     """
+    g, phases = _mcs_witness_phases(cnf, assignment)
+    preference = tuple(v for phase in phases for v in sorted(phase))
+    order = run_search(SearchKind.MCS, g, policy=FixedPreference(preference))
+    blocks = iter(order)
+    if any(set(islice(blocks, len(phase))) != set(phase) for phase in phases):
+        raise AssertionError(
+            "witness construction stalled: no phase vertex holds a maximum label")
+    return order
+
+
+def _mcs_witness_phases(cnf: CnfFormula,
+                        assignment: dict[int, bool]) -> tuple[Graph, list[list[int]]]:
+    """The gadget and the phases of `witness_order_mcs`, a vertex partition."""
     if not assignment_satisfies(cnf, assignment):
         raise ValueError("assignment does not satisfy the formula")
     art = build_mcs_gadget(cnf)
@@ -430,17 +443,4 @@ def witness_order_mcs(cnf: CnfFormula, assignment: dict[int, bool]) -> list[int]
     phases.append(sorted(clause_vertices))
     phases.append([art.target])
 
-    replay = SearchReplay(g, SearchKind.MCS)
-    order: list[int] = []
-    for phase in phases:
-        pending = set(phase)
-        while pending:
-            eligible = set(replay.eligible())
-            pick = min(pending & eligible, default=None)
-            if pick is None:
-                raise AssertionError(
-                    "witness construction stalled: no phase vertex holds a maximum label")
-            pending.remove(pick)
-            replay.advance(pick)
-            order.append(pick)
-    return order
+    return g, phases

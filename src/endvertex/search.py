@@ -24,19 +24,25 @@ Generic, BFS and DFS have nothing eligible, while under the other four
 every label is empty, hence maximal, and every unvisited vertex is
 eligible.
 
-Generators (`run_search`) resolve the remaining nondeterminism with a
-tie-break policy; validators (`validate_order`) replay a given ordering
-step by step and report the first violation.
+A tie-break policy ranks the vertices; `run_search` always visits the
+eligible vertex of least rank, and `validate_order` is the same run with
+each vertex ranked by its position in the given ordering.  Generic and
+MCS run on heaps of ranks in O((n + m) log n); BFS (a queue), DFS (a
+stack) and LBFS (partition refinement) on rank-sorted neighbourhoods in
+O(n + m); LDFS and MNS ask `SearchReplay.eligible` at every step, in
+O(n^2) and O(n^3) label operations.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from heapq import heappop, heappush
 from operator import or_
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .chordal import _position_map
 from .errors import DisconnectedGraphError
@@ -66,49 +72,46 @@ class SearchKind(Enum):
 
 
 class TieBreakPolicy:
-    """Deterministic rule choosing one vertex from a nonempty eligible set."""
+    """Deterministic rule choosing the eligible vertex it ranks first."""
 
-    def make_picker(self) -> Callable[[list[int]], int]:
+    def priority(self, n: int) -> list[int]:
+        """Distinct vertices of range(n), most preferred first.  A vertex
+        left out has no rank."""
         raise NotImplementedError
 
 
 class LowestId(TieBreakPolicy):
-    def make_picker(self):
-        return min
+    def priority(self, n):
+        return list(range(n))
 
 
 class HighestId(TieBreakPolicy):
-    def make_picker(self):
-        return max
+    def priority(self, n):
+        return list(range(n - 1, -1, -1))
 
 
 @dataclass(frozen=True)
 class SeededRandom(TieBreakPolicy):
-    """Uniform choice among eligible vertices, deterministic per seed."""
+    """A uniformly random priority over the vertices, drawn once per run
+    and deterministic per seed."""
 
     seed: int
 
-    def make_picker(self):
-        rng = random.Random(self.seed)
-        return lambda eligible: eligible[rng.randrange(len(eligible))]
+    def priority(self, n):
+        order = list(range(n))
+        random.Random(self.seed).shuffle(order)
+        return order
 
 
 @dataclass(frozen=True)
 class FixedPreference(TieBreakPolicy):
-    """Pick the eligible vertex appearing earliest in a preference ordering."""
+    """Rank vertices by their position (the last, if repeated) in a preference."""
 
     preference: tuple[int, ...]
 
-    def make_picker(self):
-        rank = {v: i for i, v in enumerate(self.preference)}
-
-        def pick(eligible: list[int]) -> int:
-            try:
-                return min(eligible, key=rank.__getitem__)
-            except KeyError:
-                raise ValueError("preference ordering does not cover the eligible set") from None
-
-        return pick
+    def priority(self, n):
+        last = {v: i for i, v in enumerate(self.preference)}
+        return [v for i, v in enumerate(self.preference) if last[v] == i and v in range(n)]
 
 
 LOWEST_ID = LowestId()
@@ -266,30 +269,174 @@ def run_search(kind: SearchKind, g: Graph, start: int | None = None,
         raise DisconnectedGraphError(f"{kind.value} search requires a connected graph")
     if start is not None and not 0 <= start < n:
         raise ValueError(f"start vertex {start} out of range")
-    replay = SearchReplay(g, kind)
-    pick = policy.make_picker()
-    if start is not None:
-        replay.advance(start)
-    while len(replay.order) < n:
-        elig = replay.eligible()
-        if not elig:
-            raise DisconnectedGraphError("search stalled: no eligible vertex")
-        replay.advance(pick(elig))
-    return list(replay.order)
+    by_rank = policy.priority(n)
+    if len(by_rank) < n:
+        # Every vertex but a fixed start is picked from an eligible set once.
+        if set(range(n)).difference(by_rank, (start,)):
+            raise ValueError("preference ordering does not cover the eligible set")
+        by_rank.append(start)
+    rank = _position_map(by_rank, n)
+    return list(_picks(kind, g, by_rank, rank, by_rank[0] if start is None else start))
 
 
 def validate_order(kind: SearchKind, g: Graph, order: Sequence[int]) -> tuple[bool, int | None]:
-    """Replay `order` against the kind's eligibility rule.
+    """Check `order` against the kind's eligibility rule.
 
     Returns (True, None) if every step is legal, otherwise
     (False, p) where p is the earliest violating position (1-based).
     Raises ValueError when `order` is not a permutation of the vertices.
+
+    Once a prefix of `order` is legal, its next vertex is the unvisited
+    one of least rank, so the run picks it exactly when it is eligible.
     """
     n = g.n
-    _position_map(order, n)
+    rank = _position_map(order, n)
+    if n == 0:
+        return True, None
+    for step, (v, picked) in enumerate(zip(order, _picks(kind, g, order, rank, order[0])), 1):
+        if v != picked:
+            return False, step
+    return (True, None) if step == n else (False, step + 1)
+
+
+# ---------------------------------------------------------------------------
+# Engines: each visits `first`, then always the eligible vertex of least
+# rank, and stops early where nothing is eligible.
+
+
+def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
+           first: int) -> Iterator[int]:
+    if kind is SearchKind.LDFS or kind is SearchKind.MNS:
+        return _replay_picks(g, kind, rank, first)
+    if kind is SearchKind.GENERIC or kind is SearchKind.MCS:
+        return _count_picks(g.adj, rank, by_rank, first, mcs=kind is SearchKind.MCS)
+    # One bucket pass lists every neighbourhood in falling rank order, so
+    # the best-ranked neighbour is at the end.
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u in reversed(by_rank):
+        for w in g.adj[u]:
+            adj[w].append(u)
+    if kind is SearchKind.LBFS:
+        return _lbfs_picks(adj, by_rank, first)
+    return _scan_picks(adj, first, depth=kind is SearchKind.DFS)
+
+
+def _replay_picks(g: Graph, kind: SearchKind, rank: list[int], first: int) -> Iterator[int]:
     replay = SearchReplay(g, kind)
-    for i, v in enumerate(order):
-        if i and v not in replay.eligible():
-            return False, i + 1
+    v = first
+    while True:  # LDFS and MNS have an eligible vertex while one is unvisited
+        yield v
         replay.advance(v)
-    return True, None
+        if len(replay.order) == g.n:
+            return
+        v = min(replay.eligible(), key=rank.__getitem__)
+
+
+def _count_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
+                 mcs: bool) -> Iterator[int]:
+    """One heap of ranks per visited-neighbour count, read at the highest
+    count; Generic search caps counts at 1 and never picks a count of 0.  An
+    entry is stale once its vertex is visited or counts more."""
+    n = len(adj)
+    cap = n if mcs else 1
+    count = [0] * n  # -1 once visited
+    heaps = [list(range(n)) if mcs else []]  # a sorted list is a heap
+    best = 0
+    v = first
+    while True:
+        yield v
+        count[v] = -1
+        for w in adj[v]:
+            c = count[w]
+            if 0 <= c < cap:
+                c = count[w] = c + 1
+                if c == len(heaps):
+                    heaps.append([])
+                heappush(heaps[c], rank[w])
+                if c > best:
+                    best = c
+        while best >= 0:
+            heap = heaps[best]
+            while heap and count[by_rank[heap[0]]] != best:
+                heappop(heap)
+            if heap:
+                break
+            best -= 1
+        else:
+            return
+        v = by_rank[heap[0]]
+
+
+def _scan_picks(adj: list[list[int]], first: int, depth: bool) -> Iterator[int]:
+    """BFS reads the earliest, DFS the latest visited vertex that still has an
+    unvisited neighbour, and takes its first one."""
+    visited = [False] * len(adj)
+    active = deque([first])
+    end, drop = (-1, active.pop) if depth else (0, active.popleft)
+    v = first
+    while True:
+        yield v
+        visited[v] = True
+        while active:
+            nbrs = adj[active[end]]
+            while nbrs and visited[nbrs[-1]]:
+                nbrs.pop()
+            if nbrs:
+                break
+            drop()
+        else:
+            return
+        v = nbrs.pop()
+        active.append(v)
+
+
+def _lbfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Iterator[int]:
+    """Partition refinement (Habib, McConnell, Paul and Viennot 2000): the
+    unvisited vertices sit in classes of equal label, linked largest label
+    first, so the front class is the eligible set, and visiting v moves each
+    unvisited neighbour into a new class just before its old one.  A class
+    is a chain of entries in rising rank order, in flat lists (no allocation
+    per class); an entry whose vertex was visited or moved on is stale and
+    dropped when it leads the front class."""
+    cls = [0] * len(adj)  # -1 once visited
+    vert = list(by_rank)  # entry -> its vertex
+    after = list(range(1, len(adj))) + [-1]  # entry -> the next entry of its class
+    head = [0]  # class -> its first entry
+    prev, nxt = [-1], [-1]
+    front = 0
+    v = first
+    while True:
+        yield v
+        cls[v] = -1
+        new = len(head)
+        for w in adj[v]:  # falling rank, so each new chain comes out rising
+            c = cls[w]
+            if c < 0:
+                continue
+            # Within one visit, the class split off c stays just before it.
+            d = prev[c]
+            if d < new:
+                d = len(head)
+                head.append(-1)
+                prev.append(prev[c])
+                nxt.append(c)
+                if c == front:
+                    front = d
+                else:
+                    nxt[prev[c]] = d
+                prev[c] = d
+            after.append(head[d])
+            head[d] = len(vert)
+            vert.append(w)
+            cls[w] = d
+        while front >= 0:
+            e = head[front]
+            while e >= 0 and cls[vert[e]] != front:
+                e = after[e]
+            head[front] = e
+            if e >= 0:
+                break
+            front = nxt[front]  # its stale prev is older than any class a visit makes
+        else:
+            return
+        v = vert[e]

@@ -95,6 +95,12 @@ def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def window(n: int, w: int = 3) -> Graph:
+    """Unit interval (hence chordal) graph: i adjacent to i+1..i+w."""
+    return Graph.from_edges(
+        n, ((i, j) for i in range(n) for j in range(i + 1, min(i + w + 1, n))))
+
+
 # ---------------------------------------------------------------------------
 # Random instance generators (all connected unless noted)
 

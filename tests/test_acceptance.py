@@ -308,12 +308,6 @@ def test_criterion_10_hierarchy_suite():
 # Criterion 11: empirically linear deciders
 
 
-def _window_graph(n: int, w: int = 3) -> Graph:
-    """Unit interval (hence chordal) graph: i adjacent to i+1..i+w."""
-    return Graph.from_edges(
-        n, ((i, j) for i in range(n) for j in range(i + 1, min(i + w + 1, n))))
-
-
 def _split_perf_graph(n: int, seed: int) -> tuple[Graph, int]:
     """Split graph with sqrt-size clique side, nested independent-side
     neighborhoods, and a target adjacent to the whole clique."""
@@ -373,11 +367,11 @@ def test_criterion_11_linear_time_contracts():
         ratios[label] = (t_small, t_big, t_big / t_small)
 
     measure("decide_mns_chordal",
-            lambda n: (_window_graph(n), n - 1),
+            lambda n: (fx.window(n), n - 1),
             lambda g, t: decide_mns_chordal(g, t),
             big_repeats=2)  # the one expensive big run
     measure("decide_unit_interval",
-            lambda n: (_window_graph(n), n - 1),
+            lambda n: (fx.window(n), n - 1),
             lambda g, t: decide_unit_interval(g, t))
     measure("decide_mcs_split",
             lambda n: _split_perf_graph(n, seed=11),
@@ -420,7 +414,7 @@ def test_chordal_hinted_mns_stage_counts(monkeypatch):
     """One chordal-hinted MNS dispatch establishes the class once and
     decides from the components of G - N[t]: no clique tree, one MCS,
     one elimination test, at most two connectivity passes."""
-    g = _window_graph(200)
+    g = fx.window(200)
     counts = {name: _count_calls(monkeypatch, module, name)
               for module, name in ((endvertex.chordal, "clique_tree"),
                                    (endvertex.chordal, "mcs_order"),

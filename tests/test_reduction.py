@@ -23,6 +23,8 @@ from endvertex import (
     witness_order_mcs,
     witness_order_mns,
 )
+from endvertex import reduction
+from reference import reference_witness_order_mcs
 
 K = SearchKind
 
@@ -215,6 +217,7 @@ def test_witness_order_mcs():
             continue
         art = build_mcs_gadget(cnf)
         order = witness_order_mcs(cnf, assignment)
+        assert order == reference_witness_order_mcs(cnf, assignment)
         assert len(order) == art.graph.n
         assert order[-1] == art.target
         by_role = {r: v for v, r in art.roles.items()}
@@ -231,6 +234,37 @@ def test_witness_order_mcs():
             segment = order[hi + 1: hi + 3]
             expected = {by_role[("aux", i, pol, nxt, 0)], by_role[("aux", i, pol, nxt, 1)]}
             assert set(segment) == expected
+
+
+def test_witness_order_mcs_matches_the_phase_by_phase_reference():
+    """Every satisfying assignment of the running instance gives the order
+    the phase-by-phase replay gives; reordered phases that no MCS run can
+    follow raise the same stall error from both."""
+    for bits in product((True, False), repeat=4):
+        assignment = dict(zip(range(1, 5), bits))
+        if assignment_satisfies(RUNNING_INSTANCE, assignment):
+            assert witness_order_mcs(RUNNING_INSTANCE, assignment) == \
+                reference_witness_order_mcs(RUNNING_INSTANCE, assignment)
+    assignment = sat_bruteforce(RUNNING_INSTANCE)
+    phases_of = reduction._mcs_witness_phases
+    stalled = "witness construction stalled: no phase vertex holds a maximum label"
+    for reorder, stalls in ((lambda ph: ph[::-1], True),
+                            (lambda ph: ph[:2] + [ph[-1]] + ph[2:-1], True),
+                            (lambda ph: [ph[1], ph[0]] + ph[2:], False)):
+        def patched(cnf, asg, reorder=reorder):
+            g, phases = phases_of(cnf, asg)
+            return g, reorder(phases)
+
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_mcs_witness_phases", patched)
+            for witness in (witness_order_mcs, reference_witness_order_mcs):
+                try:
+                    outcomes.append(witness(RUNNING_INSTANCE, assignment))
+                except AssertionError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == stalled) == stalls
 
 
 def test_witness_order_mcs_rejects_bad_assignment():

@@ -1,4 +1,6 @@
+import gc
 import random
+from time import perf_counter
 
 import pytest
 
@@ -17,6 +19,8 @@ from endvertex import (
     run_search,
     validate_order,
 )
+from endvertex.search import SearchReplay
+from reference import reference_run_search, reference_validate_order
 
 K = SearchKind
 ALL_KINDS = list(SearchKind)
@@ -112,8 +116,17 @@ def test_validate_order_rejects_non_permutations():
 
 def test_validate_order_on_disconnected_graph_flags_the_gap():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    ok, pos = validate_order(K.GENERIC, g, [0, 1, 2, 3])
-    assert not ok and pos == 3  # no eligible vertex across the component gap
+    # Generic, BFS and DFS have no eligible vertex across the component
+    # gap; under the other kinds every label is empty there, so every
+    # unvisited vertex is eligible.
+    for kind in ALL_KINDS:
+        stalls = kind in (K.GENERIC, K.BFS, K.DFS)
+        assert validate_order(kind, g, [0, 1, 2, 3]) == ((False, 3) if stalls else (True, None))
+        assert validate_order(kind, g, [2, 3, 1, 0]) == ((False, 3) if stalls else (True, None))
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    for kind in (K.LBFS, K.LDFS, K.MCS, K.MNS):
+        assert validate_order(kind, g, [0, 1, 2, 4, 3]) == (True, None)
+        assert validate_order(kind, g, [0, 1, 3, 2, 4]) == (False, 3)
 
 
 def test_fixed_preference_must_cover_eligible_vertices():
@@ -246,3 +259,78 @@ def test_search_engine_needs_no_adjacency_masks(monkeypatch):
             assert validate_order(kind, g, order) == (True, None)
             assert order[-1] in endvertex_set_exhaustive(g, kind)
             assert is_endvertex_exhaustive(g, kind, order[-1])[0]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _replay_order(kind, g, rng):
+    """A random order that follows the kind's rule until nothing is
+    eligible, then takes any unvisited vertex."""
+    replay = SearchReplay(g, kind)
+    while len(replay.order) < g.n:
+        replay.advance(rng.choice(replay.eligible() or replay.unvisited()))
+    return list(replay.order)
+
+
+def test_engines_match_the_replay_reference():
+    """`run_search` and `validate_order` against the step-by-step replay
+    they replaced: orders, verdicts, exception types and messages, on
+    random graphs (40 % drawn without a spanning tree, so often
+    disconnected), every kind, lowest/highest id and full and partial
+    preferences (with repeats and out-of-range entries), fixed starts in
+    and out of range, and valid, random and non-permutation orders."""
+    rng = random.Random(3007)
+    for trial in range(500):
+        n = rng.randint(1, 9)
+        if trial % 5 < 2:
+            p = rng.uniform(0.0, 0.6)
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
+        else:
+            g = fx.rand_connected_graph(rng, n)
+        perm = rng.sample(range(n), n)
+        policies = (LOWEST_ID, HIGHEST_ID, FixedPreference(tuple(perm)),
+                    FixedPreference(tuple(rng.choices(range(-1, n + 1), k=rng.randint(0, n + 2)))))
+        for kind in ALL_KINDS:
+            for policy in policies:
+                start = rng.choice((None, rng.randrange(n), rng.randrange(n), n))
+                got = _outcome(run_search, kind, g, start=start, policy=policy)
+                assert got == _outcome(reference_run_search, kind, g, start=start, policy=policy), \
+                    (trial, kind, policy, start, sorted(g.edges()))
+            orders = (_replay_order(kind, g, rng), _replay_order(kind, g, rng),
+                      rng.sample(range(n), n), perm[:-1], perm + perm[:1], [n] + perm[1:])
+            for order in orders:
+                assert _outcome(validate_order, kind, g, order) == \
+                    _outcome(reference_validate_order, kind, g, order), \
+                    (trial, kind, order, sorted(g.edges()))
+
+
+def test_linear_engines_double_when_n_doubles():
+    """Best of 3 `run_search` + `validate_order` times on window graphs at
+    most triple from n = 2e4 to 4e4 (a quadratic engine gives about 4).
+    The collector is paused while timing: its schedule depends on the
+    whole process's heap, not on the search."""
+    graphs = {n: fx.window(n) for n in (20_000, 40_000)}
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for kind in (K.GENERIC, K.BFS, K.DFS, K.LBFS, K.MCS):
+            best = dict.fromkeys(graphs, float("inf"))
+            for _ in range(3):
+                for n, g in graphs.items():
+                    start = perf_counter()
+                    verdict = validate_order(kind, g, run_search(kind, g))
+                    best[n] = min(best[n], perf_counter() - start)
+                    assert verdict == (True, None)
+            ratio = best[40_000] / best[20_000]
+            assert ratio <= 3, \
+                f"{kind.value}: x{ratio:.2f} ({best[20_000]:.3f} s -> {best[40_000]:.3f} s)"
+    finally:
+        if was_enabled:
+            gc.enable()
