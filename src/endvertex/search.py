@@ -26,11 +26,20 @@ eligible.
 
 A tie-break policy ranks the vertices; `run_search` always visits the
 eligible vertex of least rank, and `validate_order` is the same run with
-each vertex ranked by its position in the given ordering.  Generic and
-MCS run on heaps of ranks in O((n + m) log n); BFS (a queue), DFS (a
-stack) and LBFS (partition refinement) on rank-sorted neighbourhoods in
-O(n + m); LDFS and MNS ask `SearchReplay.eligible` at every step, in
-O(n^2) and O(n^3) label operations.
+each vertex ranked by its position in the given ordering.  One engine
+per kind, none of which keeps these position bitmasks:
+
+  Generic, MCS  lazy heaps of ranks per visited-neighbour count,
+                O((n + m) log n)
+  BFS, DFS      a queue / stack over rank-sorted neighbourhoods, O(n + m)
+  LBFS          partition refinement, O(n + m)
+  LDFS          a stack of partition classes, O(n + m log n)
+  MNS           groups of equal label and their inclusion-maximal
+                labels, kept incrementally; not linear in general (the
+                per-step cost is in `_mns_picks`)
+
+`SearchReplay` keeps the labels themselves; it serves `eligible_set` and
+the exhaustive oracle, which walk arbitrary prefixes.
 """
 
 from __future__ import annotations
@@ -132,6 +141,10 @@ class SearchReplay:
     update them the same way for every kind, so enumerators can walk the
     prefix tree without recomputing labels.  The labels are always
     exactly a function of the current prefix.
+
+    It serves `eligible_set` and the exhaustive oracle, which step
+    through arbitrary prefixes; `run_search` and `validate_order` run
+    the rank-keyed engines instead.  `eligible` scans all n vertices.
     """
 
     __slots__ = ("kind", "n", "adj", "order", "pos", "label", "visited_mask", "full_mask")
@@ -306,10 +319,10 @@ def validate_order(kind: SearchKind, g: Graph, order: Sequence[int]) -> tuple[bo
 
 def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
            first: int) -> Iterator[int]:
-    if kind is SearchKind.LDFS or kind is SearchKind.MNS:
-        return _replay_picks(g, kind, rank, first)
     if kind is SearchKind.GENERIC or kind is SearchKind.MCS:
         return _count_picks(g.adj, rank, by_rank, first, mcs=kind is SearchKind.MCS)
+    if kind is SearchKind.MNS:
+        return _mns_picks(g.adj, rank, by_rank, first)
     # One bucket pass lists every neighbourhood in falling rank order, so
     # the best-ranked neighbour is at the end.
     adj: list[list[int]] = [[] for _ in range(g.n)]
@@ -318,18 +331,9 @@ def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
             adj[w].append(u)
     if kind is SearchKind.LBFS:
         return _lbfs_picks(adj, by_rank, first)
+    if kind is SearchKind.LDFS:
+        return _ldfs_picks(adj, by_rank, first)
     return _scan_picks(adj, first, depth=kind is SearchKind.DFS)
-
-
-def _replay_picks(g: Graph, kind: SearchKind, rank: list[int], first: int) -> Iterator[int]:
-    replay = SearchReplay(g, kind)
-    v = first
-    while True:  # LDFS and MNS have an eligible vertex while one is unvisited
-        yield v
-        replay.advance(v)
-        if len(replay.order) == g.n:
-            return
-        v = min(replay.eligible(), key=rank.__getitem__)
 
 
 def _count_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
@@ -440,3 +444,129 @@ def _lbfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Ite
         else:
             return
         v = vert[e]
+
+
+def _ldfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Iterator[int]:
+    """A stack of partition classes of equal label, largest label on top, so
+    the top class is the eligible set.  Visiting v raises each unvisited
+    neighbour above every other vertex, so it moves into one new class per
+    touched class, pushed in the touched classes' stack order; class ids
+    rise up the stack, so that order is the sorted ids.  Classes are chains
+    of entries in rising rank order in flat lists, as in `_lbfs_picks`, and
+    a class with no live entry is popped when it reaches the top."""
+    cls = [0] * len(adj)  # -1 once visited
+    vert = list(by_rank)
+    after = list(range(1, len(adj))) + [-1]
+    head = [0]
+    stack = [0]
+    v = first
+    while True:
+        yield v
+        cls[v] = -1
+        nbrs = [w for w in adj[v] if cls[w] >= 0]  # falling rank
+        kids = dict.fromkeys(map(cls.__getitem__, nbrs))
+        for c in sorted(kids):
+            kids[c] = len(head)
+            stack.append(len(head))
+            head.append(-1)
+        for w in nbrs:
+            d = cls[w] = kids[cls[w]]
+            after.append(head[d])
+            head[d] = len(vert)
+            vert.append(w)
+        while stack:
+            top = stack[-1]
+            e = head[top]
+            while e >= 0 and cls[vert[e]] != top:
+                e = after[e]
+            head[top] = e
+            if e >= 0:
+                break
+            stack.pop()
+        else:
+            return
+        v = vert[e]
+
+
+def _mns_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Iterator[int]:
+    """The unvisited vertices grouped by label, each group a lazy heap of
+    ranks, plus the set of inclusion-maximal labels.  Visiting v gives its
+    unvisited neighbours a fresh bit: the maximal labels among those that
+    gained it join the maxima, an old maximum survives unless one of its
+    members gained it too (a new label then contains it), and if v leaves
+    its own group empty, the labels inside v's label are checked again
+    against the maxima, largest first.  A visited vertex's bit slot is recycled once it
+    has no unvisited neighbour, so labels are as wide as the frontier.
+
+    Not linear in general: a step costs O(d log n + t^2 + M), plus
+    O(L + s M) when v empties its group, for d unvisited neighbours in t
+    groups, M maximal labels, L labels and s labels inside v's, in word
+    operations on labels as wide as the frontier."""
+    n = len(adj)
+    label = [0] * n  # bits of the slots of visited neighbours; -1 once visited
+    left = [0] * n  # a visited vertex's unvisited neighbours
+    slot = [0] * n
+    free: list[int] = []
+    width = 0
+    heaps = {0: list(range(n))}  # label -> ranks of its group; a sorted list is a heap
+    size = {0: n}
+    maxima = {0}
+    v = first
+    while True:
+        yield v
+        own = label[v]
+        label[v] = -1
+        size[own] -= 1
+        fresh = [w for w in adj[v] if label[w] >= 0]
+        left[v] = len(fresh)
+        olds = set()
+        if fresh:
+            if free:
+                slot[v] = free.pop()
+            else:
+                slot[v] = width
+                width += 1
+            bit = 1 << slot[v]
+            for w in fresh:
+                lab = label[w]
+                olds.add(lab)
+                size[lab] -= 1
+                lab = label[w] = lab | bit
+                if lab in size:
+                    size[lab] += 1
+                else:
+                    size[lab] = 1
+                    heaps[lab] = []
+                heappush(heaps[lab], rank[w])
+            # Gaining the same bit keeps containment among the old labels.
+            tops: list[int] = []
+            for lab in sorted(olds, key=int.bit_count, reverse=True):
+                if all(lab & top != lab for top in tops):
+                    tops.append(lab)
+            maxima -= olds
+            maxima.update(top | bit for top in tops)
+        for u in adj[v]:
+            if label[u] < 0:
+                left[u] -= 1
+                if not left[u]:
+                    free.append(slot[u])
+        for lab in olds:
+            if not size[lab]:
+                del size[lab], heaps[lab]
+        if own not in olds and not size[own]:  # else own | bit contains what own did
+            del size[own], heaps[own]
+            maxima.discard(own)
+            for lab in sorted([lab for lab in size if lab & own == lab],
+                              key=int.bit_count, reverse=True):
+                if all(lab & top != lab for top in maxima):
+                    maxima.add(lab)
+        best = n
+        for top in maxima:
+            heap = heaps[top]
+            while label[by_rank[heap[0]]] != top:
+                heappop(heap)
+            if heap[0] < best:
+                best = heap[0]
+        if best == n:
+            return
+        v = by_rank[best]

@@ -2,7 +2,10 @@
 
 These are the step-by-step replay versions: every step asks
 `SearchReplay.eligible()` for the whole eligible set and picks from it.
-They are quadratic and serve only as differential references.
+They are quadratic (cubic for MNS) and serve only as differential
+references.  No library path replays a search any more, so for LDFS and
+MNS these are the only second implementation the engines are checked
+against.
 """
 
 from __future__ import annotations

@@ -361,3 +361,23 @@ def test_import_leaves_numpy_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out == "False\n"
+
+
+def test_cli_ldfs_and_mns_round_trip_on_a_20000_vertex_window(tmp_path):
+    """`search` then `validate` as separate processes.  The timeout turns a
+    quadratic search engine into a failure instead of a hung suite."""
+    path = _window_file(tmp_path, 20_000)
+    src = str(Path(endvertex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "endvertex.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    for kind in ("ldfs", "mns"):
+        found = cli("search", path, "--kind", kind)
+        assert found.returncode == 0, found.stderr
+        order = found.stdout.strip()
+        assert sorted(map(int, order.split(","))) == list(range(20_000))
+        checked = cli("validate", path, "--kind", kind, "--order", order)
+        assert (checked.returncode, checked.stdout) == (0, "valid\n"), checked.stderr

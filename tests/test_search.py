@@ -310,17 +310,91 @@ def test_engines_match_the_replay_reference():
                     (trial, kind, order, sorted(g.edges()))
 
 
+def _disconnected_graph(rng, n):
+    """Two to four random parts side by side, vertex ids shuffled."""
+    parts, edges, base = rng.randint(2, 4), [], 0
+    cuts = sorted(rng.sample(range(1, n), parts - 1)) + [n]
+    ids = rng.sample(range(n), n)
+    for end in cuts:
+        part = fx.rand_chordal(rng, end - base) if rng.random() < 0.5 else \
+            fx.rand_connected_graph(rng, end - base, rng.uniform(0.05, 0.3))
+        edges += [(ids[base + u], ids[base + w]) for u, w in part.edges()]
+        base = end
+    return Graph.from_edges(n, edges)
+
+
+def test_ldfs_and_mns_engines_match_the_reference_at_mid_size():
+    """LDFS and MNS `run_search` and `validate_order` against the replay
+    reference on 60 graphs with n = 30-150: random sparse, random chordal,
+    windows of width 1-6 and, for `validate_order` only, disconnected
+    ones.  Every order of each policy is validated as is and with one
+    adjacent swap."""
+    rng = random.Random(3008)
+    for trial in range(60):
+        n = rng.randint(30, 150)
+        family = trial % 4
+        if family == 0:
+            g = fx.rand_connected_graph(rng, n, rng.uniform(0.02, 0.1))
+        elif family == 1:
+            g = fx.rand_chordal(rng, n, rng.uniform(0.2, 0.8))
+        elif family == 2:
+            g = fx.window(n, rng.randint(1, 6))
+        else:
+            g = _disconnected_graph(rng, n)
+        policies = (LOWEST_ID, HIGHEST_ID, FixedPreference(tuple(rng.sample(range(n), n))))
+        for kind in (K.LDFS, K.MNS):
+            if family == 3:
+                orders = [_replay_order(kind, g, rng)]
+            else:
+                orders = []
+                for policy in policies:
+                    order = run_search(kind, g, policy=policy)
+                    assert order == reference_run_search(kind, g, policy=policy), \
+                        (trial, kind, policy)
+                    orders.append(order)
+            for order in orders:
+                swapped = order[:]
+                i = rng.randrange(n - 1)
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+                for o in (order, swapped):
+                    assert validate_order(kind, g, o) == reference_validate_order(kind, g, o), \
+                        (trial, kind, o)
+
+
+def test_run_search_and_validate_order_never_replay(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("SearchReplay used")
+
+    rng = random.Random(3009)
+    graphs = [fx.rand_connected_graph(rng, rng.randint(2, 40)) for _ in range(10)]
+    expected = {}
+    for i, g in enumerate(graphs):
+        for kind in ALL_KINDS:
+            order = reference_run_search(kind, g)
+            expected[i, kind] = order, reference_validate_order(kind, g, order[::-1])
+    monkeypatch.setattr(SearchReplay, "eligible", refuse)
+    monkeypatch.setattr(SearchReplay, "__init__", refuse)
+    for i, g in enumerate(graphs):
+        for kind in ALL_KINDS:
+            order = run_search(kind, g)
+            assert validate_order(kind, g, order) == (True, None)
+            assert (order, validate_order(kind, g, order[::-1])) == expected[i, kind]
+
+
 def test_linear_engines_double_when_n_doubles():
     """Best of 3 `run_search` + `validate_order` times on window graphs at
     most triple from n = 2e4 to 4e4 (a quadratic engine gives about 4).
-    The collector is paused while timing: its schedule depends on the
-    whole process's heap, not on the search."""
+    MNS is linear here only because a window's active frontier (the
+    visited vertices with an unvisited neighbour) is bounded, which keeps
+    its labels, groups and maxima bounded too.  The collector is paused
+    while timing: its schedule depends on the whole process's heap, not
+    on the search."""
     graphs = {n: fx.window(n) for n in (20_000, 40_000)}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for kind in (K.GENERIC, K.BFS, K.DFS, K.LBFS, K.MCS):
+        for kind in ALL_KINDS:
             best = dict.fromkeys(graphs, float("inf"))
             for _ in range(3):
                 for n, g in graphs.items():
