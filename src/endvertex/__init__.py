@@ -4,7 +4,6 @@ exhaustive small-instance oracle."""
 from .chordal import (
     chordal_hole,
     clique_tree,
-    find_hole,
     maximal_cliques_chordal,
     mcs_order,
     minimal_separators_chordal,
@@ -49,10 +48,8 @@ from .recognize import (
     CliqueOrder,
     SplitPartition,
     check_unit_interval_order,
-    enumerate_clique_orders,
     is_claw_net_free,
     is_split,
-    is_weakly_chordal_desk,
     recognize_interval,
     recognize_split,
     recognize_unit_interval,

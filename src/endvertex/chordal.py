@@ -193,9 +193,11 @@ def recognize_chordal(g: Graph) -> list[int] | None:
 def chordal_hole(g: Graph) -> list[int] | None:
     """A chordless cycle on >= 4 vertices certifying non-chordality.
 
-    Routes a cycle through the elimination-test witness when possible
-    (shortest u-x path dodging the rest of N[v]); falls back to the
-    generic induced-path search.  Returns None on chordal input.
+    Routes the cycle through the elimination-test witness (v, u, x): a
+    shortest u-x path avoiding the rest of N[v], closed by v.  For a
+    maximum cardinality search order such a path always exists (Tarjan
+    and Yannakakis 1984), so no search is needed; the cycle is checked
+    before it is returned.  O(n + m).  Returns None on chordal input.
     """
     if g.n == 0:
         return None
@@ -206,66 +208,22 @@ def chordal_hole(g: Graph) -> list[int] | None:
     v, u, x = witness
     blocked = (g.adj[v] | {v}) - {u, x}
     path = _shortest_path_avoiding(g, u, x, blocked)
-    if path is not None and len(path) >= 3:
-        cycle = [v] + path
-        if is_chordless_cycle(g, cycle):
-            return cycle
-    return find_hole(g, min_len=4)
-
-
-def find_hole(g: Graph, min_len: int = 4) -> list[int] | None:
-    """Some chordless cycle with at least `min_len` vertices, or None.
-
-    Desk-scale induced-path extension: grow induced paths from each
-    anchor vertex (kept minimal in the cycle, which canonicalizes the
-    search) and close them when the tip sees the anchor again.
-    """
-    adj = g.adj
-
-    def extend(path: list[int], in_path: set[int]) -> list[int] | None:
-        last = path[-1]
-        anchor = path[0]
-        interior = in_path - {anchor, last}
-        for w in adj[last]:
-            if w in in_path or w < anchor:
-                continue
-            if any(x in adj[w] for x in interior):
-                continue
-            if anchor in adj[w]:
-                if len(path) + 1 >= min_len:
-                    return path + [w]
-                continue
-            path.append(w)
-            in_path.add(w)
-            got = extend(path, in_path)
-            if got is not None:
-                return got
-            path.pop()
-            in_path.remove(w)
-        return None
-
-    for a in range(g.n):
-        for b in adj[a]:
-            if b < a:
-                continue
-            got = extend([a, b], {a, b})
-            if got is not None:
-                return got
-    return None
+    if path is None or not is_chordless_cycle(g, [v] + path):
+        raise AssertionError("an MCS elimination violation closed no chordless cycle")
+    return [v] + path
 
 
 def is_chordless_cycle(g: Graph, cycle: list[int]) -> bool:
     """Check a claimed hole: >= 4 distinct vertices, consecutive pairs
-    adjacent (cyclically), all other pairs non-adjacent."""
+    adjacent (cyclically), all other pairs non-adjacent.  With the
+    consecutive pairs adjacent, that is every vertex having exactly two
+    neighbours on the cycle, so the check is linear."""
     k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
+    on = set(cycle)
+    if k < 4 or len(on) != k:
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent_on_cycle = j - i == 1 or (i == 0 and j == k - 1)
-            if g.has_edge(cycle[i], cycle[j]) != adjacent_on_cycle:
-                return False
-    return True
+    adj = g.adj
+    return all(cycle[i - 1] in adj[v] and len(adj[v] & on) == 2 for i, v in enumerate(cycle))
 
 
 def _shortest_path_avoiding(g: Graph, s: int, t: int, blocked) -> list[int] | None:

@@ -3,12 +3,12 @@ contracts, plus a dispatcher that routes a query to the strongest
 characterization its search kind has.
 
 The public deciders check connectivity, and their class where a linear
-check exists (chordal, split); unit interval and (claw, net)-free
-membership is checked only with verify_class=True (desk scale).  The
-private `_*_explain` helpers assume every precondition:
-`dispatch_endvertex` checks connectivity once, recognizes only the
-classes the query's kind can use, each at most once and with its
-certificate, and calls them directly.
+check exists (chordal, split); unit interval membership (near-linear)
+and (claw, net)-free membership (not linear) are checked only with
+verify_class=True.  The private `_*_explain` helpers assume every
+precondition: `dispatch_endvertex` checks connectivity once, recognizes
+only the classes the query's kind can use, each at most once and with
+its certificate, and calls them directly.
 """
 
 from __future__ import annotations

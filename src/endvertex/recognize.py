@@ -4,19 +4,20 @@ Each recognizer is specified by the certificate it emits, never by its
 internal method: a SplitPartition re-validates against its invariants, a
 clique order against consecutiveness, a unit interval order against the
 three-point condition, a PEO against the elimination test.  Interval and
-unit-interval recognition use desk-scale backtracking searches; only the
-certificate is contractual.
+unit-interval recognition run LBFS sweeps (near-linear, no search) and
+check their certificate before returning it; only the certificate is
+contractual, so two versions may emit different valid ones.  The
+(claw, net)-free test is not linear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .chordal import _position_map, find_hole, maximal_cliques_chordal, recognize_chordal
-from .errors import GuardExceededError
-from .graph import Graph, complement, is_connected
+from .chordal import _position_map, clique_tree, maximal_cliques_chordal
+from .errors import NotChordalError
+from .graph import Graph, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,79 @@ def recognize_split(g: Graph) -> SplitPartition | None:
 
 
 # ---------------------------------------------------------------------------
+# LBFS sweeps
+
+
+def _lbfs(g: Graph, by_rank: Sequence[int]) -> list[int]:
+    """An LBFS order of g that breaks every tie towards the vertex ranked
+    first in `by_rank`, so by_rank = reversed(sigma) gives LBFS+(sigma).
+
+    Partition refinement (Habib, McConnell, Paul and Viennot 2000) on one
+    linked list of the unvisited vertices: the classes of equal label are
+    runs of it, largest label first and each in rank order, so the head is
+    the next vertex.  Visiting v moves its unvisited neighbours, in rank
+    order, to the end of a new class just before their old one.  Unlike
+    the `run_search` engine, which first copies every neighbourhood in
+    rank order, it sorts the neighbours per visit and keeps O(n) state
+    (class ids are recycled): O(n + m log n) time.  It finishes one
+    component before it starts the next."""
+    n = g.n
+    adj = g.adj
+    rank = _position_map(by_rank, n)
+    nxt = [0] * (n + 1)  # the list runs from the sentinel n back to it
+    prv = [0] * (n + 1)
+    chain = [n, *by_rank, n]
+    for a, b in zip(chain, chain[1:]):
+        nxt[a] = b
+        prv[b] = a
+    cls = [0] * n + [-1]  # -1 once visited, and for the sentinel
+    first = [nxt[n]]  # class -> its first vertex
+    free: list[int] = []  # ids of emptied classes
+    order = []
+    while nxt[n] != n:
+        v = nxt[n]
+        order.append(v)
+        u = nxt[v]
+        nxt[n] = u
+        prv[u] = n
+        c = cls[v]
+        cls[v] = -1
+        if cls[u] == c:
+            first[c] = u
+        else:
+            free.append(c)
+        kids: dict[int, int] = {}  # class -> the class split off it by this visit
+        for w in sorted([w for w in adj[v] if cls[w] >= 0], key=rank.__getitem__):
+            c = cls[w]
+            d = kids.get(c)
+            if d is None:
+                if free:
+                    d = free.pop()
+                else:
+                    d = len(first)
+                    first.append(w)
+                kids[c] = d
+                first[d] = w
+            f = first[c]
+            u = nxt[w]
+            if w != f:  # else w already follows the end of d
+                p = prv[w]
+                nxt[p] = u
+                prv[u] = p
+                p = prv[f]
+                nxt[p] = w
+                prv[w] = p
+                nxt[w] = f
+                prv[f] = w
+            elif cls[u] == c:
+                first[c] = u
+            else:
+                free.append(c)
+            cls[w] = d
+    return order
+
+
+# ---------------------------------------------------------------------------
 # Interval graphs: linear orders of maximal cliques
 
 
@@ -143,56 +217,117 @@ def _consecutive_ok(n: int, cliques: Sequence[frozenset]) -> bool:
     return all(count[v] == 0 or last[v] - first[v] + 1 == count[v] for v in range(n))
 
 
-def enumerate_clique_orders(g: Graph) -> Iterator[CliqueOrder]:
-    """All linear orders of the maximal cliques with every vertex's
-    cliques consecutive (backtracking with closed-vertex pruning).
-
-    Requires connected chordal input; non-chordal graphs yield nothing.
-    """
-    peo = recognize_chordal(g)
-    if peo is None:
-        return
-    cliques = maximal_cliques_chordal(g)
-    k = len(cliques)
-    used = [False] * k
-    closed: set = set()
-    placed: list[frozenset] = []
-
-    def place() -> Iterator[CliqueOrder]:
-        if len(placed) == k:
-            yield CliqueOrder(tuple(placed))
-            return
-        seen_open = set().union(*placed) - closed if placed else set()
-        for i in range(k):
-            if used[i]:
-                continue
-            c = cliques[i]
-            if c & closed:
-                continue
-            newly_closed = seen_open - c
-            used[i] = True
-            placed.append(c)
-            closed.update(newly_closed)
-            yield from place()
-            closed.difference_update(newly_closed)
-            placed.pop()
-            used[i] = False
-
-    yield from place()
-
-
 def recognize_interval(g: Graph) -> CliqueOrder | None:
     """A valid CliqueOrder, or None when g is not interval.
 
-    Non-chordal input short-circuits to refusal; otherwise a desk-scale
-    backtracking search over clique arrangements finds a consecutive
-    order whenever one exists.
+    Non-chordal input is refused; otherwise `_clique_path` arranges the
+    maximal cliques along an LBFS order and the arrangement is returned
+    only if it passes the consecutiveness check.  Refusal rests on the
+    lemma that the last vertex of an LBFS of an interval graph lies in an
+    end clique of some clique path (Corneil, Olariu and Stewart; it drives
+    the clique ordering of Habib, McConnell, Paul and Viennot 2000).
+    Near-linear: O(n + m log n) for the sweep; the refinement handles
+    each vertex once as a pivot and moves a clique at most once per
+    vertex it holds, scanning its clique-tree edges each time.
     """
     if not is_connected(g):
         raise ValueError("interval recognition needs a connected graph")
-    for order in enumerate_clique_orders(g):
-        return order
-    return None
+    try:
+        cliques, tree = clique_tree(g)
+    except NotChordalError:
+        return None
+    order = _clique_path(g.n, cliques, tree, _lbfs(g, range(g.n)))
+    if order is None or not _consecutive_ok(g.n, order):
+        return None
+    return CliqueOrder(tuple(order))
+
+
+def _clique_path(n: int, cliques: list[frozenset], tree: list[tuple[int, int, frozenset]],
+                 sigma: list[int]) -> list[frozenset] | None:
+    """An arrangement of the maximal cliques of a chordal graph that is a
+    clique path whenever the graph is interval; None when the refinement
+    finds that no clique path exists.
+
+    The cliques sit in an ordered partition, refined until every class is
+    one clique.  A vertex whose cliques lie in two classes is a pivot: its
+    cliques must be consecutive, so the classes they hit must be too, and
+    a class they hit only partly gives that part to the side facing the
+    others.  With no pivot left, each class X is independent of the rest:
+    a vertex in cliques of X and outside it is in every clique of X, the
+    others (private to X) form a module, and the LBFS order restricted to
+    a module is an LBFS of it.  So the clique of the private vertex of X
+    latest in `sigma` is an end of some arrangement of X and is split off
+    at its right.  A vertex becomes a pivot when a clique-tree edge whose
+    separator holds it first joins two classes."""
+    k = len(cliques)
+    holding: list[list[int]] = [[] for _ in range(n)]  # vertex -> its cliques
+    for i, c in enumerate(cliques):
+        for v in c:
+            holding[v].append(i)
+    nbrs: list[list[tuple[int, frozenset]]] = [[] for _ in range(k)]
+    for a, b, sep in tree:
+        nbrs[a].append((b, sep))
+        nbrs[b].append((a, sep))
+    # Classes 1, 2, ... hold the cliques, in the order of a ring through 0.
+    members: list[set[int]] = [set(), set(range(k))]
+    cls = [1] * k
+    prv, nxt = [1, 0], [1, 0]
+    shared = bytearray(n)
+    pivots: list[int] = []
+
+    def split(c: int, part: list[int], right: bool) -> None:
+        d = len(members)
+        members.append(set(part))
+        members[c].difference_update(part)
+        a = c if right else prv[c]
+        b = nxt[a]
+        nxt[a] = d
+        prv.append(a)
+        nxt.append(b)
+        prv[b] = d
+        for q in part:
+            cls[q] = d
+        for q in part:
+            for b, sep in nbrs[q]:
+                if cls[b] == c:
+                    for u in sep:
+                        if not shared[u]:
+                            shared[u] = 1
+                            pivots.append(u)
+
+    cursor = n  # walks sigma backwards, past vertices that can never qualify again
+    while True:
+        if pivots:
+            hit: dict[int, list[int]] = {}
+            for q in holding[pivots.pop()]:
+                hit.setdefault(cls[q], []).append(q)
+            if sum(nxt[c] in hit for c in hit) != len(hit) - 1:
+                return None  # the classes hit are not consecutive
+            cuts = []
+            for c, part in hit.items():
+                if len(part) < len(members[c]):
+                    right = nxt[c] in hit
+                    if right == (prv[c] in hit):
+                        return None  # a class inside the run is hit only partly
+                    cuts.append((c, part, right))
+            for cut in cuts:
+                split(*cut)
+            continue
+        while cursor:
+            cursor -= 1
+            z = sigma[cursor]
+            if not shared[z] and len(members[cls[holding[z][0]]]) > 1:
+                break
+        else:
+            break
+        q = holding[z][0]
+        split(cls[q], [q], True)
+    out = []
+    c = nxt[0]
+    while c:
+        out.extend(cliques[q] for q in members[c])
+        c = nxt[c]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,132 +352,107 @@ def check_unit_interval_order(g: Graph, order: Sequence[int]) -> bool:
     return True
 
 
-def _unit_interval_backtrack(g: Graph, forced_last: int | None) -> list[int] | None:
-    """Left-to-right placement; placing w requires the block from w's
-    earliest placed neighbor through w to be a clique."""
-    n = g.n
-    if n == 0:
-        return []
-    adj = g.adj
-    order: list[int] = []
-    pos = [-1] * n
-
-    def can_place(w: int) -> bool:
-        i = len(order)
-        earliest = i
-        for x in adj[w]:
-            p = pos[x]
-            if 0 <= p < earliest:
-                earliest = p
-        for p in range(earliest, i):
-            if w not in adj[order[p]]:
-                return False
-            for q in range(p + 1, i):
-                if order[q] not in adj[order[p]]:
-                    return False
-        return True
-
-    def rec() -> bool:
-        i = len(order)
-        if i == n:
-            return True
-        for w in range(n):
-            if pos[w] >= 0:
-                continue
-            if forced_last is not None and w == forced_last and i != n - 1:
-                continue
-            if not can_place(w):
-                continue
-            pos[w] = i
-            order.append(w)
-            if rec():
-                return True
-            order.pop()
-            pos[w] = -1
-        return False
-
-    return order if rec() else None
+def _unit_interval_order(g: Graph) -> list[int] | None:
+    """Corneil's 3-sweep (DAM 138, 2004): an LBFS, then LBFS+ of it, then
+    LBFS+ of that; g is unit interval iff the third order is a unit
+    interval order.  The first order that passes the check is returned.
+    Each component is swept as a whole, so this holds per component on
+    disconnected input."""
+    order = _lbfs(g, range(g.n))
+    for _ in range(2):
+        if check_unit_interval_order(g, order):
+            return order
+        order = _lbfs(g, order[::-1])
+    return order if check_unit_interval_order(g, order) else None
 
 
 def recognize_unit_interval(g: Graph) -> list[int] | None:
     """A unit interval order (contiguous closed neighborhoods), or None.
 
-    Desk-scale backtracking; the emitted order re-validates with
-    `check_unit_interval_order`.
-    """
+    At most three LBFS sweeps, each followed by the linear check, so
+    O(n + m log n)."""
     if not is_connected(g):
         raise ValueError("unit interval recognition needs a connected graph")
-    order = _unit_interval_backtrack(g, None)
-    if order is not None and not check_unit_interval_order(g, order):
-        raise AssertionError("backtracking produced an invalid unit interval order")
-    return order
+    return _unit_interval_order(g)
 
 
 def unit_interval_order_ending_at(g: Graph, t: int) -> list[int] | None:
-    """A unit interval order whose last vertex is t, or None."""
-    if not 0 <= t < g.n:
+    """A unit interval order whose last vertex is t, or None.
+
+    The components may come in any order, so t's component goes last.  In
+    a unit interval order, a component is a run of consecutive adjacent
+    vertices and closed-neighbourhood twins are consecutive; a connected
+    unit interval graph has one order of its twin blocks up to reversal
+    (Roberts 1971).  So t ends some order iff its block ends its run in
+    the recognized one.  Linear apart from the sweeps."""
+    n = g.n
+    if not 0 <= t < n:
         raise ValueError(f"vertex {t} out of range")
-    order = _unit_interval_backtrack(g, t)
-    if order is not None and not check_unit_interval_order(g, order):
-        raise AssertionError("backtracking produced an invalid unit interval order")
-    return order
+    order = _unit_interval_order(g)
+    if order is None:
+        return None
+    adj = g.adj
+    lo = hi = order.index(t)
+    while lo and order[lo - 1] in adj[order[lo]]:
+        lo -= 1
+    while hi + 1 < n and order[hi + 1] in adj[order[hi]]:
+        hi += 1
+    run = order[lo:hi + 1]
+    closed = adj[t] | {t}
+    if closed != adj[run[-1]] | {run[-1]}:
+        if closed != adj[run[0]] | {run[0]}:
+            return None
+        run.reverse()
+    run.remove(t)
+    run.append(t)
+    out = order[:lo] + order[hi + 1:] + run
+    if not check_unit_interval_order(g, out):
+        raise AssertionError("moving t to the end of its twin block broke the unit interval order")
+    return out
 
 
 # ---------------------------------------------------------------------------
-# (claw, net)-free and weakly chordal, desk scale
+# (claw, net)-free graphs
 
 
 def is_claw_net_free(g: Graph) -> bool:
     """No induced K_{1,3} and no induced net (triangle with three pendants).
 
-    Not linear: the claw test looks at every triple of neighbours of
-    each vertex, and the net test lists the triangles a < b < c edge by
-    edge, with c in N(a) & N(b) (Chiba and Nishizeki 1985), then looks
-    for three independent pendants on each."""
-    n = g.n
+    Not linear.  Claw: for each vertex v and neighbour a, R = N(v) - N[a]
+    is taken as one set difference, and v centres a claw with leaf a iff
+    two vertices of R are non-adjacent; a clique costs no pair work.  Net:
+    every corner of a net's triangle has a pendant the other two miss, so
+    no edge of it has one closed neighbourhood inside the other.  The
+    triangles a < b < c are listed per edge ab with c in N(a) & N(b)
+    (Chiba and Nishizeki 1985), skipping such nested edges, and a corner
+    with no pendant (which a nested edge ac or bc leaves) ends the search
+    of a triangle."""
     adj = g.adj
-    for center in range(n):
-        nbrs = sorted(adj[center])
-        for a, b, c in combinations(nbrs, 3):
-            if b not in adj[a] and c not in adj[a] and c not in adj[b]:
+    for nv in adj:
+        if len(nv) < 3:
+            continue
+        for a in nv:
+            rest = nv - adj[a]  # a and R
+            if len(rest) > 2 and any(len(rest - adj[b]) > 2 for b in rest if b != a):
                 return False
-    for a, b, c in _triangles(g):
-        tri = {a, b, c}
-        pend_a = [x for x in adj[a] if x not in tri and x not in adj[b] and x not in adj[c]]
-        if not pend_a:
-            continue
-        pend_b = [y for y in adj[b] if y not in tri and y not in adj[a] and y not in adj[c]]
-        if not pend_b:
-            continue
-        pend_c = [z for z in adj[c] if z not in tri and z not in adj[a] and z not in adj[b]]
-        for x in pend_a:
-            for y in pend_b:
-                if y == x or y in adj[x]:
+    for a, na in enumerate(adj):
+        for b in na:
+            if b < a:
+                continue
+            nb = adj[b]
+            if len(na - nb) == 1 or len(nb - na) == 1:  # N[a] and N[b] nested
+                continue
+            for c in na & nb:
+                if c < b:
                     continue
-                for z in pend_c:
-                    if z not in (x, y) and z not in adj[x] and z not in adj[y]:
+                nc = adj[c]
+                pend_a = na - nb - nc
+                pend_b = nb - na - nc
+                if not (pend_a and pend_b):
+                    continue
+                pend_c = nc - na - nb
+                for x in pend_a:
+                    zs = pend_c - adj[x]
+                    if zs and any(zs - adj[y] for y in pend_b - adj[x]):
                         return False
     return True
-
-
-def _triangles(g: Graph) -> Iterator[tuple[int, int, int]]:
-    adj = g.adj
-    for a in range(g.n):
-        for b in adj[a]:
-            if b > a:
-                for c in adj[a] & adj[b]:
-                    if c > b:
-                        yield a, b, c
-
-
-def is_weakly_chordal_desk(g: Graph, size_guard: int = 64) -> bool:
-    """True iff neither g nor its complement has a hole on >= 5 vertices.
-
-    Bounded induced-path extension search; refuses instances above the
-    guard instead of guessing.
-    """
-    if g.n > size_guard:
-        raise GuardExceededError("weak chordality check", g.n, size_guard)
-    if find_hole(g, min_len=5) is not None:
-        return False
-    return find_hole(complement(g), min_len=5) is None

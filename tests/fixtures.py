@@ -95,6 +95,18 @@ def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def spider(legs) -> Graph:
+    """Paths of the given lengths glued at vertex 0.  Three legs of
+    length >= 2 make an asteroidal triple, so the tree is not interval."""
+    edges = []
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, len(edges) + 1))
+            prev = len(edges)
+    return Graph.from_edges(len(edges) + 1, edges)
+
+
 def window(n: int, w: int = 3) -> Graph:
     """Unit interval (hence chordal) graph: i adjacent to i+1..i+w."""
     return Graph.from_edges(
@@ -166,6 +178,17 @@ def rand_interval(rng: random.Random, n: int) -> Graph:
         g = Graph.from_edges(n, edges)
         if _connected(g):
             return g
+
+
+def rand_sparse_interval(rng: random.Random, n: int, reach: int = 4) -> Graph:
+    """Connected interval graph with O(n) edges: vertex i is the interval
+    [i, i + L] with L drawn from 1..reach, so it meets i + 1; labels are
+    shuffled.  Nested intervals and claws make most draws not unit
+    interval."""
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, ((label[i], label[j]) for i in range(n)
+                                for j in range(i + 1, min(i + rng.randint(1, reach), n - 1) + 1)))
 
 
 def rand_unit_interval(rng: random.Random, n: int) -> Graph:

@@ -32,11 +32,9 @@ from endvertex import (
     decide_unit_interval,
     dispatch_endvertex,
     endvertex_set_exhaustive,
-    enumerate_clique_orders,
     is_connected,
     is_endvertex_exhaustive,
     is_simplicial,
-    is_weakly_chordal_desk,
     mcs_gadget_edge_count,
     mcs_interval_sufficient,
     mcs_order,
@@ -54,6 +52,7 @@ from endvertex import (
 )
 from endvertex.deciders import _connected_outside_closed_neighborhood
 from endvertex.graph import Graph
+from reference import enumerate_clique_orders, is_weakly_chordal_desk
 
 K = SearchKind
 

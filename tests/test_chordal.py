@@ -72,6 +72,29 @@ def test_recognize_chordal_matches_bruteforce():
             assert hole is not None and is_chordless_cycle(g, hole)
 
 
+def test_chordless_cycle_check_matches_the_pairwise_definition():
+    """Consecutive vertices adjacent (cyclically) and every other pair
+    non-adjacent, on random sequences of 0-9 vertices of random graphs and
+    on the holes `chordal_hole` finds, shuffled in part."""
+    rng = random.Random(2004)
+    for _ in range(3000):
+        g = fx.rand_connected_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.5))
+        cycle = rng.choices(range(g.n), k=rng.randint(0, g.n)) if rng.random() < 0.2 \
+            else rng.sample(range(g.n), rng.randint(0, g.n))
+        hole = chordal_hole(g)
+        if hole is not None and rng.random() < 0.5:
+            i = rng.randrange(len(hole))
+            cycle = hole[i:] + hole[:i]
+            if rng.random() < 0.3:
+                j = rng.randrange(len(hole))
+                cycle[i], cycle[j] = cycle[j], cycle[i]
+        k = len(cycle)
+        expected = k >= 4 and len(set(cycle)) == k and all(
+            g.has_edge(cycle[i], cycle[j]) == (j - i == 1 or (i == 0 and j == k - 1))
+            for i in range(k) for j in range(i + 1, k))
+        assert is_chordless_cycle(g, cycle) == expected
+
+
 def test_maximal_cliques():
     g, names = fx.split_example()
     cliques = set(maximal_cliques_chordal(g))

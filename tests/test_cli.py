@@ -213,21 +213,38 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_recursion_limit_is_exit_1_without_traceback(tmp_path, capsys):
-    """Unit interval recognition still recurses once per vertex; on a
-    1500-vertex window graph it exceeds the interpreter's limit, and the
-    CLI reports that as a one-line error with exit status 1."""
-    n = 1500
-    edges = [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))]
-    path = tmp_path / "window.graph"
-    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    assert main(["endvertex", str(path), "--class", "unit-interval", "--kind", "ldfs",
-                 "--target", str(n - 1), "--json"]) == 1
+def test_cli_recursion_error_is_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
+    """A RecursionError from any step is reported as a one-line error with
+    exit status 1 (no library path recurses; a patched recognizer raises)."""
+    def recurse(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(endvertex.deciders, "recognize_unit_interval", recurse)
+    assert main(["endvertex", _window_file(tmp_path, 20), "--class", "unit-interval",
+                 "--kind", "ldfs", "--target", "19", "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_cli_mcs_and_ldfs_on_a_long_window_exit_0(tmp_path, capsys):
+    """Interval and unit interval recognition run LBFS sweeps, so auto and
+    unit-interval-hinted MCS and LDFS answer on 1500 vertices."""
+    path = _window_file(tmp_path, 1500)
+    for kind in ("mcs", "ldfs"):
+        for hint in ([], ["--class", "unit-interval"]):
+            assert main(["endvertex", path, "--kind", kind, "--target", "0", *hint]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.splitlines()[0] == "Yes" and captured.err == ""
+
+
+def test_cli_recognize_on_a_long_window_exits_0(tmp_path, capsys):
+    assert main(["recognize", _window_file(tmp_path, 10_000), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["unit_interval"] is not None and len(doc["interval"]) == 10_000 - 3
+    assert doc["claw_net_free"] is True
 
 
 def _window_file(tmp_path, n):
@@ -240,7 +257,7 @@ def _window_file(tmp_path, n):
 
 def test_cli_auto_mns_and_dfs_on_a_long_window_recognize_only_linear_classes(tmp_path, capsys):
     """MNS needs only chordality and DFS tests claw-net-freeness first, so
-    neither runs the recursive unit interval recognizer on 1000 vertices."""
+    neither needs interval or unit interval recognition."""
     path = _window_file(tmp_path, 1000)
     for kind in ("mns", "dfs"):
         assert main(["endvertex", path, "--kind", kind, "--target", "0"]) == 0

@@ -234,6 +234,29 @@ def test_dispatch_recognizes_only_what_the_kind_uses():
         assert dispatch_endvertex(g, 0, kind).classes == expected[kind], kind
 
 
+def test_auto_dispatch_answers_on_stars_and_spiders():
+    """On the star K1,10 (interval, not unit interval) and on spiders that
+    are not interval, auto LDFS and MCS recognize no usable class, fall
+    back to the oracle and agree with it."""
+    for g, kinds in ((fx.star(10), (K.LDFS,)),
+                     (fx.spider((3, 4, 4)), (K.MCS, K.LDFS)),
+                     (fx.spider((3, 3, 4)), (K.MCS, K.LDFS))):
+        for kind in kinds:
+            exact = endvertex_set_exhaustive(g, kind)
+            for t in range(g.n):
+                res = dispatch_endvertex(g, t, kind)
+                assert res.method == "exhaustive oracle"
+                assert (res.verdict is Verdict.YES) == (t in exact), (kind, t)
+
+
+def test_auto_dfs_answers_on_a_large_clique():
+    """The claw test does no pair work on a clique and the net test skips
+    every edge whose closed neighbourhoods are nested, so K_300 is cheap."""
+    g = fx.clique(300)
+    res = dispatch_endvertex(g, 0, K.DFS)
+    assert res.verdict is Verdict.YES and res.method == "cut-vertex characterization"
+
+
 def test_dispatch_verifies_class_hints():
     with pytest.raises(ClassMismatchError):
         dispatch_endvertex(fx.cycle(4), 0, K.MNS, class_hint="chordal")

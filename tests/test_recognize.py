@@ -5,21 +5,32 @@ import pytest
 import fixtures as fx
 from endvertex import (
     CliqueOrder,
+    FixedPreference,
     Graph,
     GuardExceededError,
+    SearchKind,
     SplitPartition,
     check_unit_interval_order,
-    enumerate_clique_orders,
     is_claw_net_free,
+    is_connected,
     is_split,
-    is_weakly_chordal_desk,
     recognize_chordal,
     recognize_interval,
     recognize_split,
     recognize_unit_interval,
+    run_search,
     unit_interval_order_ending_at,
     validate_clique_order,
     validate_split_partition,
+)
+from endvertex.recognize import _lbfs
+from reference import (
+    enumerate_clique_orders,
+    is_weakly_chordal_desk,
+    reference_is_claw_net_free,
+    reference_recognize_interval,
+    reference_recognize_unit_interval,
+    unit_interval_backtrack,
 )
 
 
@@ -207,3 +218,123 @@ def test_validate_split_partition_rejections():
     g = Graph.from_edges(5, edges)
     assert not validate_split_partition(g, SplitPartition(frozenset({0, 1, 2, 3}), frozenset({3, 4})))
     assert not validate_split_partition(g, SplitPartition(frozenset({0, 1, 2}), frozenset({3})))
+
+
+def _small_graph(rng, trial):
+    """One graph with n <= 10: the random families, nets, claws, spiders,
+    stars and cycles, and disjoint unions of two random ones."""
+    family = trial % 12
+    n = rng.randint(1, 8)
+    if family == 0:
+        return fx.rand_interval(rng, n)
+    if family == 1:
+        return fx.rand_unit_interval(rng, n)
+    if family == 2:
+        return fx.rand_chordal(rng, n, rng.random())
+    if family == 3:
+        return fx.rand_split(rng, n)
+    if family == 4:
+        return fx.rand_connected_graph(rng, n)
+    if family == 5:
+        return fx.net() if trial % 24 < 12 else fx.claw()
+    if family == 6:
+        return fx.spider([rng.randint(1, 3) for _ in range(rng.randint(1, 3))])
+    if family == 7:
+        return fx.star(rng.randint(0, 7))
+    if family == 8:
+        return fx.cycle(rng.randint(3, 9))
+    if family == 9:
+        return fx.rand_sparse_interval(rng, n)
+    parts = [fx.rand_unit_interval(rng, rng.randint(1, 4)) if family == 10
+             else fx.rand_interval(rng, rng.randint(1, 4)) for _ in range(2)]
+    size = parts[0].n + parts[1].n
+    label = rng.sample(range(size), size)
+    shift = parts[0].n
+    return Graph.from_edges(size, [(label[u], label[v]) for u, v in parts[0].edges()]
+                            + [(label[u + shift], label[v + shift]) for u, v in parts[1].edges()])
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def test_recognizers_match_the_exhaustive_references():
+    """3000 seeded graphs with n <= 10: both recognizers accept exactly
+    what the backtracking references accept, every certificate validates,
+    disconnected input raises the reference's ValueError, and
+    `unit_interval_order_ending_at` finds an order exactly when the
+    reference's forced-last placement does, on disconnected input too."""
+    rng = random.Random(4010)
+    memo = {}
+    for trial in range(3000):
+        g = _small_graph(rng, trial)
+        if g not in memo:
+            ends = unit_interval_backtrack(g, None) is not None
+            memo[g] = (_outcome(reference_recognize_interval, g),
+                       _outcome(reference_recognize_unit_interval, g),
+                       [ends and unit_interval_backtrack(g, t) is not None for t in range(g.n)])
+        want_interval, want_unit, want_ends = memo[g]
+        order, error = _outcome(recognize_interval, g)
+        assert error == want_interval[1], f"trial {trial}"
+        assert (order is None) == (want_interval[0] is None), f"trial {trial}"
+        assert order is None or validate_clique_order(g, order), f"trial {trial}"
+        order, error = _outcome(recognize_unit_interval, g)
+        assert error == want_unit[1], f"trial {trial}"
+        assert (order is None) == (want_unit[0] is None), f"trial {trial}"
+        assert order is None or check_unit_interval_order(g, order), f"trial {trial}"
+        assert (error is None) == is_connected(g)
+        for t in range(g.n):
+            order = unit_interval_order_ending_at(g, t)
+            assert (order is not None) == want_ends[t], f"trial {trial}, t={t}"
+            assert order is None or (order[-1] == t and check_unit_interval_order(g, order))
+
+
+def test_recognizers_accept_every_interval_model_at_mid_size():
+    """Completeness where the references are too slow: intersection graphs
+    of random intervals (n <= 40, sparse ones up to 60) are always
+    recognized as interval, and of random unit intervals as unit
+    interval."""
+    rng = random.Random(4012)
+    for _ in range(300):
+        g = fx.rand_interval(rng, rng.randint(1, 40))
+        order = recognize_interval(g)
+        assert order is not None and validate_clique_order(g, order)
+        g = fx.rand_sparse_interval(rng, rng.randint(1, 60))
+        order = recognize_interval(g)
+        assert order is not None and validate_clique_order(g, order)
+        g = fx.rand_unit_interval(rng, rng.randint(1, 40))
+        order = recognize_unit_interval(g)
+        assert order is not None and check_unit_interval_order(g, order)
+
+
+def test_lbfs_sweep_matches_run_search():
+    """The recognizers' sweep is an LBFS that breaks ties by the given
+    ranking, the same order `run_search` gives for that preference."""
+    rng = random.Random(4013)
+    for _ in range(300):
+        g = fx.rand_connected_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.6))
+        by_rank = rng.sample(range(g.n), g.n)
+        assert _lbfs(g, by_rank) == run_search(SearchKind.LBFS, g,
+                                               policy=FixedPreference(tuple(by_rank)))
+
+
+def test_claw_net_free_matches_the_vertex_triple_reference():
+    rng = random.Random(4014)
+    net_edges = list(fx.net().edges())
+    for trial in range(3000):
+        n = rng.randint(1, 12)
+        if trial % 4 == 0:
+            g = fx.rand_connected_graph(rng, n, rng.uniform(0.5, 0.95))
+        elif trial % 4 == 1:
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < 0.4])
+        elif trial % 4 == 2:
+            g = fx.rand_interval(rng, n)
+        else:  # a net, often spoiled by edges among or beyond its pendants
+            n = rng.randint(6, 10)
+            g = Graph.from_edges(n, net_edges + [(i, j) for i in range(3, n) for j in range(i + 1, n)
+                                                 if rng.random() < 0.3])
+        assert is_claw_net_free(g) == reference_is_claw_net_free(g), f"trial {trial}"

@@ -12,7 +12,6 @@ from endvertex import (
     build_mcs_gadget,
     build_mns_gadget,
     is_endvertex_exhaustive,
-    is_weakly_chordal_desk,
     mcs_gadget_edge_count,
     mns_gadget_edge_count,
     parse_dimacs,
@@ -24,7 +23,7 @@ from endvertex import (
     witness_order_mns,
 )
 from endvertex import reduction
-from reference import reference_witness_order_mcs
+from reference import is_weakly_chordal_desk, reference_witness_order_mcs
 
 K = SearchKind
 

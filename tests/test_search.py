@@ -16,6 +16,8 @@ from endvertex import (
     eligible_set,
     endvertex_set_exhaustive,
     is_endvertex_exhaustive,
+    recognize_interval,
+    recognize_unit_interval,
     run_search,
     validate_order,
 )
@@ -405,6 +407,37 @@ def test_linear_engines_double_when_n_doubles():
             ratio = best[40_000] / best[20_000]
             assert ratio <= 3, \
                 f"{kind.value}: x{ratio:.2f} ({best[20_000]:.3f} s -> {best[40_000]:.3f} s)"
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_recognizers_double_when_n_doubles():
+    """Best of 3 `recognize_interval` and `recognize_unit_interval` times at
+    most triple from n = 2e4 to 4e4, on window graphs (accepted) and on a
+    seeded sparse interval family (mostly refused as unit interval).  The
+    collector is paused while timing, as above."""
+    rng = random.Random(7001)
+    families = {
+        "window": {n: fx.window(n) for n in (20_000, 40_000)},
+        "sparse interval": {n: fx.rand_sparse_interval(rng, n) for n in (20_000, 40_000)},
+    }
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for family, graphs in families.items():
+            for recognize in (recognize_interval, recognize_unit_interval):
+                best = dict.fromkeys(graphs, float("inf"))
+                for _ in range(3):
+                    for n, g in graphs.items():
+                        start = perf_counter()
+                        cert = recognize(g)
+                        best[n] = min(best[n], perf_counter() - start)
+                        assert cert is not None or recognize is recognize_unit_interval
+                ratio = best[40_000] / best[20_000]
+                assert ratio <= 3, (f"{recognize.__name__} on {family}: x{ratio:.2f} "
+                                    f"({best[20_000]:.3f} s -> {best[40_000]:.3f} s)")
     finally:
         if was_enabled:
             gc.enable()
