@@ -6,7 +6,6 @@ from .chordal import (
     clique_tree,
     maximal_cliques_chordal,
     mcs_order,
-    minimal_separators_chordal,
     peo_check,
     peo_violation,
     recognize_chordal,

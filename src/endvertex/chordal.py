@@ -1,5 +1,5 @@
 """Chordal-graph machinery: MCS orders, perfect elimination orderings,
-maximal cliques, clique trees and minimal separators.
+maximal cliques and clique trees.
 
 Everything on the main path here is O(n + m): bucket-based maximum
 cardinality search, the first-later-neighbor elimination test, and the
@@ -119,7 +119,7 @@ def peo_violation(g: Graph, order) -> tuple[int, int, int] | None:
     return v, u, next(x for x in later if x != u and x not in adj_u)
 
 
-def clique_tree(g: Graph) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
+def clique_tree(g: Graph, peo=None) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
     """Maximal cliques and clique-tree edges of a connected chordal graph.
 
     Walks an MCS visit order: a new maximal clique starts whenever the
@@ -127,13 +127,14 @@ def clique_tree(g: Graph) -> tuple[list[frozenset], list[tuple[int, int, frozens
     the clique of the most recently visited such neighbor.  Tree edges
     carry their separator (the visited neighborhood of the clique's
     first vertex).  O(n + m); raises NotChordalError on non-chordal
-    input, detected by the elimination test on the reversed order.
+    input, detected by the elimination test on the reversed order.  A given
+    `peo` must be `recognize_chordal(g)`'s (a reversed MCS order); it is trusted.
     """
     n = g.n
     if n == 0:
         return [], []
-    order = mcs_order(g)
-    if peo_violation(g, list(reversed(order))) is not None:
+    order = peo[::-1] if peo is not None else mcs_order(g)
+    if peo is None and peo_violation(g, order[::-1]) is not None:
         raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
     visit_index = _position_map(order, n)
     cliques: list[list[int]] = [[order[0]]]
@@ -160,18 +161,6 @@ def maximal_cliques_chordal(g: Graph) -> list[frozenset]:
     """Maximal cliques of a connected chordal graph (at most n of them)."""
     cliques, _ = clique_tree(g)
     return cliques
-
-
-def minimal_separators_chordal(g: Graph) -> list[frozenset]:
-    """All minimal separators of a connected chordal graph, deduplicated.
-
-    They are exactly the intersections of adjacent maximal cliques in a
-    clique tree, which the MCS-grown tree provides directly as its edge
-    separators.  Sorted by (size, members) for deterministic output.
-    """
-    _, edges = clique_tree(g)
-    seps = {sep for _, _, sep in edges if sep}
-    return sorted(seps, key=lambda s: (len(s), sorted(s)))
 
 
 def recognize_chordal(g: Graph) -> list[int] | None:

@@ -328,7 +328,7 @@ def cmd_recognize(args) -> int:
     peo = recognize_chordal(g)
     hole = None if peo is not None else chordal_hole(g)
     split = recognize_split(g)
-    interval = recognize_interval(g) if peo is not None else None
+    interval = recognize_interval(g, peo) if peo is not None else None
     unit = recognize_unit_interval(g) if interval is not None else None
     claw_net_free = is_claw_net_free(g)
     doc = {

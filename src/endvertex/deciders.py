@@ -320,15 +320,15 @@ class DispatchResult:
     classes: tuple[str, ...] = ()
 
 
-# Class -> (recognizer returning its certificate or None, the class it
-# presumes).  The lambdas look each recognizer up when called, so a
-# recognizer patched on this module is the one that runs.
+# Class -> (recognizer given g and the presumed class's certificate,
+# returning its own or None; the class it presumes).  The lambdas look each
+# recognizer up when called, so a recognizer patched here is the one that runs.
 _RECOGNIZERS = {
-    "chordal": (lambda g: recognize_chordal(g), None),
-    "split": (lambda g: recognize_split(g), "chordal"),
-    "interval": (lambda g: recognize_interval(g), "chordal"),
-    "unit-interval": (lambda g: recognize_unit_interval(g), "interval"),
-    "claw-net-free": (lambda g: is_claw_net_free(g) or None, None),
+    "chordal": (lambda g, _: recognize_chordal(g), None),
+    "split": (lambda g, _: recognize_split(g), "chordal"),
+    "interval": (lambda g, peo: recognize_interval(g, peo), "chordal"),
+    "unit-interval": (lambda g, _: recognize_unit_interval(g), "interval"),
+    "claw-net-free": (lambda g, _: is_claw_net_free(g) or None, None),
 }
 # Class hint -> the classes it implies.
 _IMPLIES = {
@@ -371,7 +371,7 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     # when the class does not hold.
     certs: dict[str, object] = {}
     if hint != "auto":
-        cert = _RECOGNIZERS[hint][0](g)
+        cert = _RECOGNIZERS[hint][0](g, None)
         if cert is None:
             raise ClassMismatchError(f"class hint {hint!r} failed certificate validation")
         certs = dict.fromkeys(_RECOGNIZERS)
@@ -381,7 +381,8 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     def holds(cls: str) -> object:
         if cls not in certs:
             recognizer, presumed = _RECOGNIZERS[cls]
-            certs[cls] = recognizer(g) if presumed is None or holds(presumed) else None
+            prior = holds(presumed) if presumed else None
+            certs[cls] = recognizer(g, prior) if presumed is None or prior else None
         return certs[cls]
 
     def result(verdict: Verdict, method: str, detail: str | None = None,

@@ -10,10 +10,13 @@ Pruning:
 
 * a set query skips a prefix whose unvisited vertices are all known
   end-vertices already, whatever the kind;
-* MCS and MNS eligibility is a function of the visited set alone, so
-  their walks also memoize visited-set bitmasks: a set query skips a
-  visited set it has explored already, a target query one that has no
-  completion ending at the target.
+* where a key fixes every completion, the walk memoizes it: a set query
+  skips a state it has explored, a target query one with no completion
+  ending at the target.  Generic, MCS and MNS key a state by its visited
+  set (their rule reads nothing else); BFS by the visited set and the
+  queue, the unvisited vertices grouped by earliest visited neighbour in
+  order (a visit only appends one class).  LBFS and LDFS rank keys merge
+  too few states to repay their cost and DFS needs its whole stack.
 
 Guards are explicit: exceeding one raises GuardExceededError rather than
 approximating.  The randomized probe is the only statistical tool here,
@@ -49,6 +52,21 @@ def _check_entry(g: Graph, kind: SearchKind, start: int | None, guard: int | Non
         raise ValueError(f"target vertex {t} out of range")
 
 
+def _state_keys(replay: SearchReplay, kind: SearchKind):
+    """(root key, child(key, v) -> the key after visiting v); (None, None): no memo."""
+    if kind is SearchKind.BFS:
+        adj, pos, label = replay.adj, replay.pos, replay.label
+
+        def child(key, v):  # (visited set, *queue classes); v's fresh neighbours queue last
+            fresh = sum(1 << w for w in adj[v] if pos[w] < 0 and not label[w])
+            queue = [c & ~(1 << v) for c in key[1:]] + [fresh]
+            return (key[0] | 1 << v, *filter(None, queue))
+        return (0,), child
+    if kind in (SearchKind.GENERIC, *SET_STATE_KINDS):
+        return 0, lambda key, v: key | 1 << v  # the visited set
+    return None, None
+
+
 def _orders(g: Graph, kind: SearchKind, start: int | None,
             target: int | None = None) -> Iterator[list[int]]:
     """Valid kind-orders (from `start` if given) in lexicographic order.
@@ -60,14 +78,15 @@ def _orders(g: Graph, kind: SearchKind, start: int | None,
     n = g.n
     replay = SearchReplay(g, kind)
     order, advance, retreat = replay.order, replay.advance, replay.retreat
-    memo: set[int] | None = set() if kind in SET_STATE_KINDS else None
+    root, child = _state_keys(replay, kind)
+    memo: set = set()
     found = 0  # end-vertices of the orders generated so far, as a bitmask
     emitted = 0
-    # One frame per prefix length: the vertices still to try after it, and
-    # the number of orders generated before it was entered.
-    stack = [(iter(range(n) if start is None else (start,)), 0)]
+    # One frame per prefix length: the vertices still to try after it, the
+    # number of orders generated before it was entered, and its state key.
+    stack = [(iter(range(n) if start is None else (start,)), 0, root)]
     while stack:
-        todo, entered = stack[-1]
+        todo, entered, key = stack[-1]
         for v in todo:
             if len(order) == n - 1:
                 advance(v)
@@ -78,22 +97,21 @@ def _orders(g: Graph, kind: SearchKind, start: int | None,
                 continue
             if v == target:
                 continue
-            mask = replay.visited_mask | 1 << v
-            if memo is not None:
-                if mask in memo:
-                    continue
-                if target is None:
-                    memo.add(mask)
-            if target is None and not replay.full_mask & ~mask & ~found:
+            sub = child and child(key, v)
+            if sub in memo:
+                continue
+            if sub is not None and target is None:
+                memo.add(sub)
+            if target is None and not replay.full_mask & ~(replay.visited_mask | 1 << v) & ~found:
                 continue
             advance(v)
-            stack.append((iter(replay.eligible()), emitted))
+            stack.append((iter(replay.eligible()), emitted, sub))
             break
         else:
             stack.pop()
             if order:
-                if memo is not None and target is not None and emitted == entered:
-                    memo.add(replay.visited_mask)  # no completion ends at the target
+                if key is not None and target is not None and emitted == entered:
+                    memo.add(key)  # no completion ends at the target
                 retreat()
 
 
@@ -156,19 +174,19 @@ def _probe_mcs_batched(g: Graph, t: int, trials: int, seed: int) -> int:
     n = g.n
     if n == 1:
         return trials if t == 0 else 0
-    adj = np.zeros((n, n), dtype=np.int32)
+    adj = np.zeros((n, n))
     for u in range(n):
         for v in g.adj[u]:
             adj[u, v] = 1
     rng = np.random.default_rng(seed)
-    counts = np.zeros((trials, n), dtype=np.int32)
-    visited = np.zeros((trials, n), dtype=bool)
+    # Visited-neighbour counts, -inf once visited; in place, one step per column.
+    counts = np.zeros((trials, n))
+    score = np.empty((trials, n))
     rows = np.arange(trials)
-    last = None
     for _ in range(n):
-        noise = rng.random((trials, n))
-        score = np.where(visited, -1.0, counts + noise)
+        rng.random(out=score)
+        score += counts
         last = score.argmax(axis=1)
-        visited[rows, last] = True
+        counts[rows, last] = -np.inf
         counts += adj[last]
     return int((last == t).sum())

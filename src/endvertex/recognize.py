@@ -217,15 +217,16 @@ def _consecutive_ok(n: int, cliques: Sequence[frozenset]) -> bool:
     return all(count[v] == 0 or last[v] - first[v] + 1 == count[v] for v in range(n))
 
 
-def recognize_interval(g: Graph) -> CliqueOrder | None:
+def recognize_interval(g: Graph, peo: list[int] | None = None) -> CliqueOrder | None:
     """A valid CliqueOrder, or None when g is not interval.
 
-    Non-chordal input is refused; otherwise `_clique_path` arranges the
-    maximal cliques along an LBFS order and the arrangement is returned
-    only if it passes the consecutiveness check.  Refusal rests on the
-    lemma that the last vertex of an LBFS of an interval graph lies in an
-    end clique of some clique path (Corneil, Olariu and Stewart; it drives
-    the clique ordering of Habib, McConnell, Paul and Viennot 2000).
+    Non-chordal input is refused (a `recognize_chordal` PEO, if given,
+    goes to `clique_tree`); otherwise `_clique_path` arranges the maximal
+    cliques along an LBFS order and the arrangement is returned only if
+    it passes the consecutiveness check.  Refusal rests on the lemma that
+    the last vertex of an LBFS of an interval graph lies in an end clique
+    of some clique path (Corneil, Olariu and Stewart; it drives the
+    clique ordering of Habib, McConnell, Paul and Viennot 2000).
     Near-linear: O(n + m log n) for the sweep; the refinement handles
     each vertex once as a pivot and moves a clique at most once per
     vertex it holds, scanning its clique-tree edges each time.
@@ -233,7 +234,7 @@ def recognize_interval(g: Graph) -> CliqueOrder | None:
     if not is_connected(g):
         raise ValueError("interval recognition needs a connected graph")
     try:
-        cliques, tree = clique_tree(g)
+        cliques, tree = clique_tree(g, peo)
     except NotChordalError:
         return None
     order = _clique_path(g.n, cliques, tree, _lbfs(g, range(g.n)))

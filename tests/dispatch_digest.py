@@ -55,10 +55,10 @@ def corpus():
 def memoized(recognizer):
     cache = {}
 
-    def recognize(g):
+    def recognize(g, *certificate):
         if g not in cache:
             cache.clear()
-            cache[g] = recognizer(g)
+            cache[g] = recognizer(g, *certificate)
         return cache[g]
 
     return recognize

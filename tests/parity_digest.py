@@ -1,13 +1,14 @@
-"""Print a SHA-256 digest of search outcomes over a fixed corpus.
+"""Print a SHA-256 digest of search and oracle outcomes over a fixed corpus.
 
 Usage, from the root of a checkout:
 
     python3 tests/parity_digest.py
 
 It imports `endvertex` from that checkout's `src/`.  Two trees whose
-`run_search`, `validate_order` and `witness_order_mcs` give the same
-outputs (orders, verdicts, violation positions, exception types and
-messages) print the same digest, so a change that must keep every output
+`run_search`, `validate_order`, `witness_order_mcs`, exhaustive oracle,
+`eligible_set` and randomized probe give the same outputs (orders,
+verdicts, violation positions, end-vertex sets, witnesses, hit counts,
+exception types and messages) print the same digest, so a change that must keep every output
 is checked by running this script on the change and on its parent.  The
 name has no `test_` prefix: pytest does not collect it.
 
@@ -23,7 +24,16 @@ Corpus (everything drawn from fixed seeds):
     of width 1-6) whose `LowestId`, `HighestId`, `FixedPreference` and
     `SeededRandom` orders of every kind are validated under all 7 kinds;
   * `witness_order_mcs` on the running instance and 24 random formulas
-    (k = 3-5) under every assignment (unsatisfying ones raise).
+    (k = 3-5) under every assignment (unsatisfying ones raise);
+  * the oracle on 400 random graphs with n <= 8, 40 % of them drawn
+    without a spanning tree: for every kind the end-vertex set with a
+    free and a fixed start, every target's witness, MCS/MNS terminal
+    orders (random limit and start) and `eligible_set` after a random
+    prefix; Generic and BFS end-vertex sets and witnesses on 12 random
+    connected graphs with n = 9-11;
+  * MCS and LBFS probe hits for every target of 40 random connected
+    graphs (n <= 12, 0-50 trials) and on the running instance's MCS
+    gadget.
 """
 
 from __future__ import annotations
@@ -46,7 +56,13 @@ from endvertex import (  # noqa: E402
     SearchKind,
     SearchReplay,
     SeededRandom,
+    build_mcs_gadget,
+    eligible_set,
+    endvertex_set_exhaustive,
+    is_endvertex_exhaustive,
+    randomized_endvertex_probe,
     run_search,
+    terminal_orders_exhaustive,
     validate_order,
     witness_order_mcs,
 )
@@ -137,11 +153,57 @@ def witnesses(d: Digest) -> None:
             d.record(witness_order_mcs, cnf, dict(zip(range(1, cnf.variable_count + 1), bits)))
 
 
+def terminal_orders(*args, **kwargs) -> list[list[int]]:
+    return list(terminal_orders_exhaustive(*args, **kwargs))
+
+
+def oracle(d: Digest) -> None:
+    rng = random.Random(8004)
+    for trial in range(400):
+        n = rng.randint(1, 8)
+        if trial % 5 < 2:
+            p = rng.uniform(0.0, 0.6)
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
+        else:
+            g = fx.rand_connected_graph(rng, n)
+        for kind in SearchKind:
+            d.record(endvertex_set_exhaustive, g, kind)
+            d.record(endvertex_set_exhaustive, g, kind, start=rng.randrange(n))
+            for t in range(n):
+                d.record(is_endvertex_exhaustive, g, kind, t)
+                if kind in (SearchKind.MCS, SearchKind.MNS):
+                    d.record(terminal_orders, g, kind, t, rng.randint(0, 6),
+                             start=rng.choice((None, rng.randrange(n))))
+            d.record(eligible_set, kind, g, rng.sample(range(n), rng.randrange(n)))
+    for _ in range(12):
+        g = fx.rand_connected_graph(rng, rng.randint(9, 11))
+        for kind in (SearchKind.GENERIC, SearchKind.BFS):
+            d.record(endvertex_set_exhaustive, g, kind)
+            for t in range(g.n):
+                d.record(is_endvertex_exhaustive, g, kind, t)
+
+
+def probes(d: Digest) -> None:
+    rng = random.Random(8005)
+    for _ in range(40):
+        g = fx.rand_connected_graph(rng, rng.randint(1, 12))
+        for kind in (SearchKind.MCS, SearchKind.LBFS):
+            for t in range(g.n):
+                d.record(randomized_endvertex_probe, g, kind, t, rng.randint(0, 50),
+                         rng.getrandbits(32))
+    art = build_mcs_gadget(RUNNING_INSTANCE)
+    for t in (art.target, 0, art.graph.n // 2):
+        d.record(randomized_endvertex_probe, art.graph, SearchKind.MCS, t, 200, t)
+
+
 def main() -> None:
     d = Digest()
     small_graphs(d)
     mid_graphs(d)
     witnesses(d)
+    oracle(d)
+    probes(d)
     calls = ", ".join(f"{name} {count}" for name, count in sorted(d.calls.items()))
     print(f"{d.sha.hexdigest()}  ({calls}; {d.raised} raised)")
 

@@ -10,6 +10,9 @@ The recognizer references are the exhaustive searches the LBFS-sweep
 recognizers replaced (exponential, and recursive in `enumerate_clique_orders`),
 the vertex-triple (claw, net) test, and the induced-path hole search with
 the weak chordality check built on it; they serve desk-scale graphs only.
+
+`minimal_separators_chordal` reads the minimal separators of a chordal
+graph off its clique tree; no library path needs them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from endvertex import (
     LowestId,
     SearchKind,
     SearchReplay,
+    clique_tree,
     complement,
     maximal_cliques_chordal,
     recognize_chordal,
@@ -288,3 +292,15 @@ def is_weakly_chordal_desk(g: Graph, size_guard: int = 64) -> bool:
     if find_hole(g, min_len=5) is not None:
         return False
     return find_hole(complement(g), min_len=5) is None
+
+
+def minimal_separators_chordal(g: Graph) -> list[frozenset]:
+    """All minimal separators of a connected chordal graph, deduplicated.
+
+    They are exactly the intersections of adjacent maximal cliques in a
+    clique tree, which the MCS-grown tree provides directly as its edge
+    separators.  Sorted by (size, members) for deterministic output.
+    """
+    _, edges = clique_tree(g)
+    seps = {sep for _, _, sep in edges if sep}
+    return sorted(seps, key=lambda s: (len(s), sorted(s)))

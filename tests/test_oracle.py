@@ -5,8 +5,11 @@ import pytest
 
 import fixtures as fx
 from endvertex import (
+    CnfFormula,
     GuardExceededError,
     SearchKind,
+    SearchReplay,
+    build_mcs_gadget,
     endvertex_set_exhaustive,
     is_endvertex_exhaustive,
     randomized_endvertex_probe,
@@ -141,6 +144,25 @@ def test_probe_examples():
     assert randomized_endvertex_probe(g, K.MCS, nm["v"], trials=10_000, seed=11) == 0
 
 
+def test_probe_hits_are_pinned():
+    """The batched MCS probe's hit counts for fixed (graph, t, trials,
+    seed), as recorded before the probe updated its arrays in place, so
+    the numpy stream cannot drift unnoticed."""
+    def hits(g, targets, trials, seed):
+        return [randomized_endvertex_probe(g, K.MCS, t, trials=trials, seed=seed)
+                for t in targets]
+
+    k5 = fx.clique(5)
+    assert hits(k5, range(5), 100, 7) == [23, 21, 18, 16, 22]
+    assert hits(k5, [2], 2000, 123) == [378]
+    g, _ = fx.split_example()
+    assert hits(g, range(g.n), 500, 11) == [0, 0, 0, 0, 0, 244, 256]
+    art = build_mcs_gadget(CnfFormula(3, (((1, False), (2, True), (3, False)),
+                                          ((1, True), (2, False), (3, True)))))
+    assert (art.graph.n, art.target) == (125, 124)
+    assert hits(art.graph, [124, 0, 41, 109, 115], 400, 5) == [0, 397, 1, 1, 1]
+
+
 def test_probe_distribution_is_roughly_uniform_on_cliques():
     k5 = fx.clique(5)
     hits = randomized_endvertex_probe(k5, K.MCS, 2, trials=2000, seed=123)
@@ -192,3 +214,32 @@ def test_endvertex_hierarchy_monotonicity():
         assert endvertex_set_exhaustive(g, K.LDFS) <= mns
         for kind in (K.BFS, K.DFS, K.LBFS):
             assert endvertex_set_exhaustive(g, kind) <= generic
+
+
+def test_generic_and_bfs_oracle_work_is_memoized(monkeypatch):
+    """`SearchReplay.eligible` calls, one per state the walker enters, for
+    every target query and the set query on 9 seeded random graphs with
+    n = 9-11.  Before Generic and BFS states were memoized the counts
+    were: BFS 1 236 586 (targets) and 1 123 940 (sets); Generic 20 280
+    and 18 925.  Each must now be at most a tenth of that."""
+    calls = [0]
+    eligible = SearchReplay.eligible
+
+    def counted(replay):
+        calls[0] += 1
+        return eligible(replay)
+
+    monkeypatch.setattr(SearchReplay, "eligible", counted)
+    rng = random.Random(10010)
+    graphs = [fx.rand_connected_graph(rng, n) for n in (9, 10, 11) for _ in range(3)]
+    for kind, parent_target, parent_set in ((K.BFS, 1_236_586, 1_123_940),
+                                            (K.GENERIC, 20_280, 18_925)):
+        calls[0] = 0
+        for g in graphs:
+            for t in range(g.n):
+                is_endvertex_exhaustive(g, kind, t)
+        assert calls[0] <= parent_target // 10, (kind, calls[0])
+        calls[0] = 0
+        for g in graphs:
+            endvertex_set_exhaustive(g, kind)
+        assert calls[0] <= parent_set // 10, (kind, calls[0])

@@ -11,6 +11,7 @@ from endvertex import (
     SearchKind,
     SplitPartition,
     check_unit_interval_order,
+    clique_tree,
     is_claw_net_free,
     is_connected,
     is_split,
@@ -84,6 +85,18 @@ def test_interval_certificates_on_random_instances():
         g = fx.rand_interval(rng, rng.randint(1, 8))
         order = recognize_interval(g)
         assert order is not None and validate_clique_order(g, order)
+
+
+def test_interval_recognition_on_a_held_peo_is_unchanged():
+    """Handing `recognize_chordal`'s PEO to `clique_tree` and
+    `recognize_interval` gives the certificates they compute alone."""
+    rng = random.Random(4013)
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        g = fx.rand_interval(rng, n) if rng.random() < 0.5 else fx.rand_chordal(rng, n)
+        peo = recognize_chordal(g)
+        assert clique_tree(g, peo) == clique_tree(g)
+        assert recognize_interval(g, peo) == recognize_interval(g)
 
 
 def test_enumerate_clique_orders_on_jump_example():
