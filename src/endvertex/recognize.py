@@ -4,10 +4,10 @@ Each recognizer is specified by the certificate it emits, never by its
 internal method: a SplitPartition re-validates against its invariants, a
 clique order against consecutiveness, a unit interval order against the
 three-point condition, a PEO against the elimination test.  Interval and
-unit-interval recognition run LBFS sweeps (near-linear, no search) and
-check their certificate before returning it; only the certificate is
-contractual, so two versions may emit different valid ones.  The
-(claw, net)-free test is not linear.
+unit-interval recognition run LBFS sweeps on `run_search`'s engine
+(near-linear, no backtracking) and check their certificate before
+returning it; only the certificate is contractual, so two versions may
+emit different valid ones.  The (claw, net)-free test is not linear.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Sequence
 from .chordal import _position_map, clique_tree, maximal_cliques_chordal
 from .errors import NotChordalError
 from .graph import Graph, is_connected
+from .search import _lbfs_picks
 
 
 # ---------------------------------------------------------------------------
@@ -110,70 +111,9 @@ def recognize_split(g: Graph) -> SplitPartition | None:
 def _lbfs(g: Graph, by_rank: Sequence[int]) -> list[int]:
     """An LBFS order of g that breaks every tie towards the vertex ranked
     first in `by_rank`, so by_rank = reversed(sigma) gives LBFS+(sigma).
-
-    Partition refinement (Habib, McConnell, Paul and Viennot 2000) on one
-    linked list of the unvisited vertices: the classes of equal label are
-    runs of it, largest label first and each in rank order, so the head is
-    the next vertex.  Visiting v moves its unvisited neighbours, in rank
-    order, to the end of a new class just before their old one.  Unlike
-    the `run_search` engine, which first copies every neighbourhood in
-    rank order, it sorts the neighbours per visit and keeps O(n) state
-    (class ids are recycled): O(n + m log n) time.  It finishes one
-    component before it starts the next."""
-    n = g.n
-    adj = g.adj
-    rank = _position_map(by_rank, n)
-    nxt = [0] * (n + 1)  # the list runs from the sentinel n back to it
-    prv = [0] * (n + 1)
-    chain = [n, *by_rank, n]
-    for a, b in zip(chain, chain[1:]):
-        nxt[a] = b
-        prv[b] = a
-    cls = [0] * n + [-1]  # -1 once visited, and for the sentinel
-    first = [nxt[n]]  # class -> its first vertex
-    free: list[int] = []  # ids of emptied classes
-    order = []
-    while nxt[n] != n:
-        v = nxt[n]
-        order.append(v)
-        u = nxt[v]
-        nxt[n] = u
-        prv[u] = n
-        c = cls[v]
-        cls[v] = -1
-        if cls[u] == c:
-            first[c] = u
-        else:
-            free.append(c)
-        kids: dict[int, int] = {}  # class -> the class split off it by this visit
-        for w in sorted([w for w in adj[v] if cls[w] >= 0], key=rank.__getitem__):
-            c = cls[w]
-            d = kids.get(c)
-            if d is None:
-                if free:
-                    d = free.pop()
-                else:
-                    d = len(first)
-                    first.append(w)
-                kids[c] = d
-                first[d] = w
-            f = first[c]
-            u = nxt[w]
-            if w != f:  # else w already follows the end of d
-                p = prv[w]
-                nxt[p] = u
-                prv[u] = p
-                p = prv[f]
-                nxt[p] = w
-                prv[w] = p
-                nxt[w] = f
-                prv[f] = w
-            elif cls[u] == c:
-                first[c] = u
-            else:
-                free.append(c)
-            cls[w] = d
-    return order
+    It finishes one component before it starts the next."""
+    rank = _position_map(by_rank, g.n)
+    return list(_lbfs_picks(g.adj, rank, by_rank, by_rank[0])) if by_rank else []
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +167,7 @@ def recognize_interval(g: Graph, peo: list[int] | None = None) -> CliqueOrder | 
     the last vertex of an LBFS of an interval graph lies in an end clique
     of some clique path (Corneil, Olariu and Stewart; it drives the
     clique ordering of Habib, McConnell, Paul and Viennot 2000).
-    Near-linear: O(n + m log n) for the sweep; the refinement handles
+    Near-linear: O(n + m log Δ) for the sweep; the refinement handles
     each vertex once as a pivot and moves a clique at most once per
     vertex it holds, scanning its clique-tree edges each time.
     """
@@ -371,7 +311,7 @@ def recognize_unit_interval(g: Graph) -> list[int] | None:
     """A unit interval order (contiguous closed neighborhoods), or None.
 
     At most three LBFS sweeps, each followed by the linear check, so
-    O(n + m log n)."""
+    O(n + m log Δ) for maximum degree Δ."""
     if not is_connected(g):
         raise ValueError("unit interval recognition needs a connected graph")
     return _unit_interval_order(g)

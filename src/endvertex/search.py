@@ -32,7 +32,9 @@ per kind, none of which keeps these position bitmasks:
   Generic, MCS  lazy heaps of ranks per visited-neighbour count,
                 O((n + m) log n)
   BFS, DFS      a queue / stack over rank-sorted neighbourhoods, O(n + m)
-  LBFS          partition refinement, O(n + m)
+  LBFS          partition refinement, sorting each visit's unvisited
+                neighbours, O(n + m log Δ) for maximum degree Δ; the
+                recognizers' LBFS sweeps run it too
   LDFS          a stack of partition classes, O(n + m log n)
   MNS           groups of equal label and their inclusion-maximal
                 labels, kept incrementally; not linear in general (the
@@ -323,14 +325,14 @@ def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
         return _count_picks(g.adj, rank, by_rank, first, mcs=kind is SearchKind.MCS)
     if kind is SearchKind.MNS:
         return _mns_picks(g.adj, rank, by_rank, first)
-    # One bucket pass lists every neighbourhood in falling rank order, so
-    # the best-ranked neighbour is at the end.
+    if kind is SearchKind.LBFS:
+        return _lbfs_picks(g.adj, rank, by_rank, first)
+    # For BFS, DFS and LDFS, one bucket pass lists every neighbourhood in
+    # falling rank order, so the best-ranked neighbour is at the end.
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u in reversed(by_rank):
         for w in g.adj[u]:
             adj[w].append(u)
-    if kind is SearchKind.LBFS:
-        return _lbfs_picks(adj, by_rank, first)
     if kind is SearchKind.LDFS:
         return _ldfs_picks(adj, by_rank, first)
     return _scan_picks(adj, first, depth=kind is SearchKind.DFS)
@@ -394,56 +396,73 @@ def _scan_picks(adj: list[list[int]], first: int, depth: bool) -> Iterator[int]:
         active.append(v)
 
 
-def _lbfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Iterator[int]:
-    """Partition refinement (Habib, McConnell, Paul and Viennot 2000): the
-    unvisited vertices sit in classes of equal label, linked largest label
-    first, so the front class is the eligible set, and visiting v moves each
-    unvisited neighbour into a new class just before its old one.  A class
-    is a chain of entries in rising rank order, in flat lists (no allocation
-    per class); an entry whose vertex was visited or moved on is stale and
-    dropped when it leads the front class."""
-    cls = [0] * len(adj)  # -1 once visited
-    vert = list(by_rank)  # entry -> its vertex
-    after = list(range(1, len(adj))) + [-1]  # entry -> the next entry of its class
-    head = [0]  # class -> its first entry
-    prev, nxt = [-1], [-1]
-    front = 0
+def _lbfs_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Iterator[int]:
+    """Partition refinement (Habib, McConnell, Paul and Viennot 2000) on one
+    linked list of the unvisited vertices: the classes of equal label are
+    runs of it, largest label first and each in rank order, so after `first`
+    (unlinked wherever it stands) the head is the next vertex.  Visiting v
+    moves its unvisited neighbours, in rank order, to the end of a new class
+    just before their old one; a class's stamp names the visit that last
+    split it, and `kid` the class split off.  State is O(n) (class ids are
+    recycled) and a visit sorts its unvisited neighbours only if it has two
+    or more, so O(n + m log Δ).  Every label is maximal once a component is
+    done, so it goes on to the next one and never stops early."""
+    n = len(adj)
+    nxt = [0] * (n + 1)  # the list runs from the sentinel n back to it
+    prv = [0] * (n + 1)
+    chain = [n, *by_rank, n]
+    for a, b in zip(chain, chain[1:]):
+        nxt[a] = b
+        prv[b] = a
+    cls = [0] * n + [-1]  # -1 once visited, and for the sentinel
+    head = [by_rank[0]] * n  # class -> its first vertex
+    kid = [0] * n  # class -> the class its stamp's visit split off it
+    stamp = [-1] * n
+    free = list(range(n - 1, 0, -1))  # ids of empty classes
     v = first
     while True:
         yield v
+        c = cls[v]
         cls[v] = -1
-        new = len(head)
-        for w in adj[v]:  # falling rank, so each new chain comes out rising
+        p = prv[v]
+        u = nxt[v]
+        nxt[p] = u
+        prv[u] = p
+        if head[c] == v:  # else v is a `first` the ranking does not put first
+            if cls[u] == c:
+                head[c] = u
+            else:
+                free.append(c)
+        nbrs = [w for w in adj[v] if cls[w] >= 0]
+        if len(nbrs) > 1:
+            nbrs.sort(key=rank.__getitem__)
+        for w in nbrs:
             c = cls[w]
-            if c < 0:
-                continue
-            # Within one visit, the class split off c stays just before it.
-            d = prev[c]
-            if d < new:
-                d = len(head)
-                head.append(-1)
-                prev.append(prev[c])
-                nxt.append(c)
-                if c == front:
-                    front = d
-                else:
-                    nxt[prev[c]] = d
-                prev[c] = d
-            after.append(head[d])
-            head[d] = len(vert)
-            vert.append(w)
+            if stamp[c] == v:
+                d = kid[c]
+            else:
+                stamp[c] = v
+                d = kid[c] = free.pop()
+                head[d] = w
+            f = head[c]
+            u = nxt[w]
+            if w != f:  # else w already follows the end of d
+                p = prv[w]
+                nxt[p] = u
+                prv[u] = p
+                p = prv[f]
+                nxt[p] = w
+                prv[w] = p
+                nxt[w] = f
+                prv[f] = w
+            elif cls[u] == c:
+                head[c] = u
+            else:
+                free.append(c)
             cls[w] = d
-        while front >= 0:
-            e = head[front]
-            while e >= 0 and cls[vert[e]] != front:
-                e = after[e]
-            head[front] = e
-            if e >= 0:
-                break
-            front = nxt[front]  # its stale prev is older than any class a visit makes
-        else:
+        v = nxt[n]
+        if v == n:
             return
-        v = vert[e]
 
 
 def _ldfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Iterator[int]:
@@ -451,9 +470,10 @@ def _ldfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Ite
     the top class is the eligible set.  Visiting v raises each unvisited
     neighbour above every other vertex, so it moves into one new class per
     touched class, pushed in the touched classes' stack order; class ids
-    rise up the stack, so that order is the sorted ids.  Classes are chains
-    of entries in rising rank order in flat lists, as in `_lbfs_picks`, and
-    a class with no live entry is popped when it reaches the top."""
+    rise up the stack, so that order is the sorted ids.  A class is a chain
+    of entries in rising rank order, in flat lists (no allocation per
+    class); an entry whose vertex was visited or moved on is stale, and a
+    class with no live entry is popped when it reaches the top."""
     cls = [0] * len(adj)  # -1 once visited
     vert = list(by_rank)
     after = list(range(1, len(adj))) + [-1]

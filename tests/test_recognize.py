@@ -9,6 +9,7 @@ from endvertex import (
     Graph,
     GuardExceededError,
     SearchKind,
+    SearchReplay,
     SplitPartition,
     check_unit_interval_order,
     clique_tree,
@@ -24,6 +25,7 @@ from endvertex import (
     validate_clique_order,
     validate_split_partition,
 )
+from endvertex.chordal import _position_map
 from endvertex.recognize import _lbfs
 from reference import (
     enumerate_clique_orders,
@@ -324,14 +326,34 @@ def test_recognizers_accept_every_interval_model_at_mid_size():
 
 
 def test_lbfs_sweep_matches_run_search():
-    """The recognizers' sweep is an LBFS that breaks ties by the given
-    ranking, the same order `run_search` gives for that preference."""
+    """The recognizers' sweep and `run_search(LBFS)` both visit, at every
+    step, the eligible vertex of least rank under a step-by-step
+    `SearchReplay`.  A third of the graphs may be disconnected, as in
+    `unit_interval_order_ending_at`'s sweeps, and `run_search` gets a fixed
+    start that the ranking does not put first."""
+    def replayed(g, by_rank, first):
+        rank = _position_map(by_rank, g.n)
+        replay = SearchReplay(g, SearchKind.LBFS)
+        replay.advance(first)
+        while len(replay.order) < g.n:
+            replay.advance(min(replay.eligible(), key=rank.__getitem__))
+        return replay.order
+
     rng = random.Random(4013)
-    for _ in range(300):
-        g = fx.rand_connected_graph(rng, rng.randint(1, 30), rng.uniform(0.05, 0.6))
-        by_rank = rng.sample(range(g.n), g.n)
-        assert _lbfs(g, by_rank) == run_search(SearchKind.LBFS, g,
-                                               policy=FixedPreference(tuple(by_rank)))
+    for trial in range(300):
+        n = rng.randint(1, 30)
+        if trial % 3:
+            g = fx.rand_connected_graph(rng, n, rng.uniform(0.05, 0.6))
+        else:
+            p = rng.uniform(0.0, 0.3)
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
+        by_rank = rng.sample(range(n), n)
+        assert _lbfs(g, by_rank) == replayed(g, by_rank, by_rank[0]), trial
+        if is_connected(g):
+            start = rng.choice(by_rank[1:] or by_rank)
+            assert run_search(SearchKind.LBFS, g, start, FixedPreference(tuple(by_rank))) \
+                == replayed(g, by_rank, start), trial
 
 
 def test_claw_net_free_matches_the_vertex_triple_reference():
