@@ -3,9 +3,10 @@ contracts, plus a dispatcher that routes a query to the strongest
 characterization its search kind has.
 
 The public deciders check connectivity, and their class where a linear
-check exists (chordal, split); unit interval membership (near-linear)
-and (claw, net)-free membership (not linear) are checked only with
-verify_class=True.  The private `_*_explain` helpers assume every
+check exists (chordal, split) or the decider needs the certificate
+(interval); unit interval membership (near-linear) and (claw, net)-free
+membership (not linear) are checked only with verify_class=True.  The
+private helpers (`_*_explain`, `_dfs_interval`) assume every
 precondition: `dispatch_endvertex` checks connectivity once, recognizes
 only the classes the query's kind can use, each at most once and with
 its certificate, and calls them directly.
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .chordal import recognize_chordal
 from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError, NotChordalError
-from .graph import Graph, cut_vertices, induced_subgraph, is_connected, is_inclusion_chain, is_simplicial
+from .graph import Graph, cut_vertices, is_connected, is_inclusion_chain, is_simplicial
 from .oracle import is_endvertex_exhaustive
 from .recognize import (
     CliqueOrder,
@@ -195,73 +197,56 @@ def decide_dfs_claw_net_free(g: Graph, t: int, verify_class: bool = False) -> bo
     return t not in cut_vertices(g)
 
 
-def decide_dfs_interval(g: Graph, t: int, subset_guard: int = 20) -> bool:
+def decide_dfs_interval(g: Graph, t: int) -> bool:
     """On a connected interval graph, t is a DFS end-vertex iff the
     subgraph induced by N(t), taken as one graph, has a hamiltonian
-    path.  Raises GuardExceededError when G[N(t)] is connected and has
-    more than `subset_guard` vertices."""
+    path.  Recognizes the class once (near-linear), then O(n + m);
+    raises ClassMismatchError when g has no clique path."""
     _check_target(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError("interval DFS decider requires a connected graph")
-    return _dfs_interval(g, t, subset_guard)
+    order = recognize_interval(g)
+    if order is None:
+        raise ClassMismatchError("graph is not interval")
+    return _dfs_interval(g, t, order)
 
 
-def _dfs_interval(g: Graph, t: int, subset_guard: int = 20) -> bool:
-    """Assumes g connected and interval.  A disconnected G[N(t)] (t a
-    cut vertex) has no hamiltonian path, whatever its size."""
-    sub, _ = induced_subgraph(g, g.adj[t])
-    return is_connected(sub) and hamiltonian_path(sub, guard=subset_guard) is not None
+def _dfs_interval(g: Graph, t: int, order: CliqueOrder) -> bool:
+    """Assumes g connected and `order` a clique path of g.  G's clique
+    path restricted to N(t) is an interval model of G[N(t)]."""
+    return hamiltonian_path(g, order, g.adj[t]) is not None
 
 
-def hamiltonian_path(g: Graph, guard: int = 20) -> list[int] | None:
-    """A hamiltonian path, or None.  Subset dynamic program, O(2^n n^2);
-    the guard refuses larger instances explicitly.  The emitted path
-    re-validates (consecutive adjacency, all vertices once)."""
-    n = g.n
-    if n > guard:
-        raise GuardExceededError("hamiltonian path dynamic program", n, guard)
-    if n == 0:
+def hamiltonian_path(g: Graph, order: CliqueOrder, vertices: Iterable[int]) -> list[int] | None:
+    """A hamiltonian path of G[vertices], or None.
+
+    `order` is a clique path of g; each vertex's interval ends at its
+    last clique.  The walk starts at the vertex whose interval ends
+    first and always steps to the unvisited neighbour whose interval
+    ends first (ties to the smaller id).  Arikati and Pandu Rangan (IPL
+    35, 1990) prove that this greedy, restarted whenever it is stuck,
+    covers an interval graph with the fewest vertex-disjoint paths, so a
+    hamiltonian path exists iff the walk never gets stuck, and the walk
+    is one.  Ties are harmless: intervals ending at the same clique can
+    be stretched into any order without changing the graph.  O(n + m).
+    """
+    keep = frozenset(vertices)
+    if not keep:
         return []
-    if n == 1:
-        return [0]
-    masks = g.adjacency_masks()
-    full = (1 << n) - 1
-    # reach[mask] = bitmask of vertices at which some hamiltonian path of
-    # G[mask] can end.
-    reach = [0] * (full + 1)
-    for v in range(n):
-        reach[1 << v] = 1 << v
-    for mask in range(1, full + 1):
-        ends = reach[mask]
-        if not ends:
-            continue
-        rest = ends
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            ext = masks[v] & ~mask
-            while ext:
-                wlow = ext & -ext
-                ext ^= wlow
-                reach[mask | wlow] |= wlow
-    if not reach[full]:
-        return None
-    # Reconstruct backwards from any feasible endpoint.
-    path = []
-    mask = full
-    v = (reach[full] & -reach[full]).bit_length() - 1
-    while True:
+    # Later cliques overwrite earlier ones: each vertex keeps its last.
+    end = {v: (i, v) for i, c in enumerate(order.cliques) for v in c & keep}
+    v = min(keep, key=end.__getitem__)
+    path = [v]
+    unvisited = set(keep)
+    unvisited.remove(v)
+    adj = g.adj
+    while unvisited:
+        step = adj[v] & unvisited
+        if not step:
+            return None
+        v = min(step, key=end.__getitem__)
+        unvisited.remove(v)
         path.append(v)
-        prev_mask = mask ^ (1 << v)
-        if not prev_mask:
-            break
-        cand = reach[prev_mask] & masks[v]
-        if not cand:
-            raise AssertionError("hamiltonian path reconstruction failed")
-        mask = prev_mask
-        v = (cand & -cand).bit_length() - 1
-    path.reverse()
     return path
 
 
@@ -412,12 +397,7 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
         return result(Verdict.YES if ok else Verdict.NO, "cut-vertex characterization",
                       None if ok else f"vertex {name_of(t)} is a cut vertex")
     if kind is SearchKind.DFS and holds("interval"):
-        try:
-            ok = _dfs_interval(g, t)
-        except GuardExceededError as exc:
-            why = (f"interval DFS test: G[N({name_of(t)})] has {exc.size} vertices, "
-                   f"over the hamiltonian path guard of {exc.guard}")
-            return oracle_or_unknown(why, why + ", and the graph is over the oracle guard")
+        ok = _dfs_interval(g, t, certs["interval"])
         return result(Verdict.YES if ok else Verdict.NO, "interval DFS characterization",
                       None if ok else f"G[N({name_of(t)})] has no hamiltonian path")
     if kind is SearchKind.MCS and holds("interval"):

@@ -85,17 +85,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor sets as integer bitmasks (n-bit ints, built
-        on each call; meant for small graphs)."""
-        masks = []
-        for nbrs in self.adj:
-            m = 0
-            for w in nbrs:
-                m |= 1 << w
-            masks.append(m)
-        return tuple(masks)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.adj == other.adj
 

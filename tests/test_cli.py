@@ -333,7 +333,7 @@ def _dfs_interval_query(tmp_path, name, n, edges):
 
 def test_cli_dfs_interval_star_centre_is_no_past_the_path_guard(tmp_path, capsys):
     """G[N(t)] of a 21-leaf star's centre is disconnected, so it has no
-    hamiltonian path whatever the dynamic program's guard."""
+    hamiltonian path, whatever its size."""
     query = _dfs_interval_query(tmp_path, "star21", 22, [(0, i) for i in range(1, 22)])
     assert main(query) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -341,20 +341,20 @@ def test_cli_dfs_interval_star_centre_is_no_past_the_path_guard(tmp_path, capsys
 
 
 def test_cli_dfs_interval_falls_back_when_the_path_guard_refuses(tmp_path, capsys):
-    """A fan (hub 0 on a 21-vertex path) has a connected 21-vertex G[N(0)]:
-    the hamiltonian path program refuses it, so the oracle answers when
-    its guard allows and the answer is Unknown, with the reason, when not."""
+    """A fan (hub 0 on a 21-vertex path) has a connected 21-vertex G[N(0)].
+    The linear path cover on the clique path answers it, with no guard and
+    no fallback, and the exhaustive oracle agrees."""
     edges = [(0, i) for i in range(1, 22)] + [(i, i + 1) for i in range(1, 21)]
     query = _dfs_interval_query(tmp_path, "fan21", 22, edges)
     assert main(query) == 0
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
-    assert doc["answer"] == "unknown" and doc["method"] == "none"
-    assert "hamiltonian path guard" in doc["detail"] and captured.err == ""
-    assert main(query + ["--oracle-guard", "22"]) == 0
+    assert doc["answer"] == "yes" and doc["method"] == "interval DFS characterization"
+    assert doc["detail"] is None and captured.err == ""
+    oracle = ["oracle", query[1], "--kind", "dfs", "--target", "0", "--guard", "22", "--json"]
+    assert main(oracle) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["answer"] == "yes" and doc["method"] == "exhaustive oracle"
-    assert doc["witness"][-1] == "0"
+    assert doc["is_end_vertex"] is True and doc["witness"][-1] == "0"
 
 
 def test_cli_names_resolve_before_raw_indices(tmp_path, capsys):

@@ -7,7 +7,6 @@ from endvertex import (
     ClassMismatchError,
     DisconnectedGraphError,
     Graph,
-    GuardExceededError,
     NotChordalError,
     SearchKind,
     Verdict,
@@ -21,6 +20,7 @@ from endvertex import (
     dispatch_endvertex,
     endvertex_set_exhaustive,
     hamiltonian_path,
+    induced_subgraph,
     mcs_interval_sufficient,
     recognize_interval,
 )
@@ -86,12 +86,45 @@ def test_dfs_interval_examples():
     assert decide_dfs_interval(jump, nmj["t"])
     assert nmj["t"] in endvertex_set_exhaustive(jump, K.DFS)
     assert not decide_dfs_interval(fx.claw(), 0)
-    # A cut vertex's G[N(t)] is disconnected: No at any size, while a
-    # connected G[N(t)] past the dynamic program's guard still raises.
+    # A cut vertex's G[N(t)] is disconnected: No.  A fan's hub sees a
+    # path, so it is an end-vertex at any size.
     assert not decide_dfs_interval(fx.star(21), 0)
-    fan = Graph.from_edges(22, [(0, i) for i in range(1, 22)] + [(i, i + 1) for i in range(1, 21)])
-    with pytest.raises(GuardExceededError):
-        decide_dfs_interval(fan, 0)
+    assert decide_dfs_interval(_fan(22), 0)
+
+
+def _fan(n):
+    """Hub 0 adjacent to every vertex of the path 1..n-1."""
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+def test_dfs_interval_refuses_a_graph_without_a_clique_path():
+    c4 = fx.cycle(4)
+    assert recognize_interval(c4) is None
+    assert 0 in endvertex_set_exhaustive(c4, K.DFS)
+    with pytest.raises(ClassMismatchError):
+        decide_dfs_interval(c4, 0)
+
+
+def test_dfs_interval_answers_a_large_fan_without_the_oracle(monkeypatch):
+    fan = _fan(20_000)
+    assert decide_dfs_interval(fan, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(deciders, "is_endvertex_exhaustive", refuse)
+    res = dispatch_endvertex(fan, 0, K.DFS, class_hint="interval")
+    assert res.verdict is Verdict.YES and res.method == "interval DFS characterization"
+    assert dispatch_endvertex(fan, 0, K.DFS).verdict is Verdict.YES
+
+
+def test_dfs_interval_matches_the_oracle_on_sparse_interval_graphs():
+    rng = random.Random(6002)
+    for trial in range(150):
+        g = fx.rand_sparse_interval(rng, rng.randint(2, 9))
+        exact = endvertex_set_exhaustive(g, K.DFS)
+        for t in range(g.n):
+            assert decide_dfs_interval(g, t) == (t in exact), f"sparse interval trial {trial}, t={t}"
 
 
 def test_unit_interval_example_matches_three_oracles():
@@ -103,25 +136,36 @@ def test_unit_interval_example_matches_three_oracles():
             assert decide_unit_interval(g, t) == (t in exact)
 
 
+def _checked_path(g, order, vertices):
+    """hamiltonian_path's answer, checked against the brute force on the
+    induced subgraph; a returned path must be one."""
+    keep = sorted(vertices)
+    got = hamiltonian_path(g, order, vertices)
+    sub, _ = induced_subgraph(g, keep)
+    assert (got is None) == (fx.brute_hamiltonian_path(sub) is None), (sorted(g.edges()), keep)
+    if got is not None:
+        assert sorted(got) == keep
+        assert all(g.has_edge(got[i], got[i + 1]) for i in range(len(got) - 1))
+
+
 def test_hamiltonian_path():
     p4 = fx.path(4)
-    path = hamiltonian_path(p4)
-    assert path in ([0, 1, 2, 3], [3, 2, 1, 0])
-    assert hamiltonian_path(fx.claw()) is None
+    assert hamiltonian_path(p4, recognize_interval(p4), range(4)) in ([0, 1, 2, 3], [3, 2, 1, 0])
+    claw = fx.claw()
+    assert hamiltonian_path(claw, recognize_interval(claw), range(4)) is None
     k4 = fx.clique(4)
-    got = hamiltonian_path(k4)
-    assert sorted(got) == [0, 1, 2, 3]
-    with pytest.raises(GuardExceededError):
-        hamiltonian_path(fx.path(25))
+    assert sorted(hamiltonian_path(k4, recognize_interval(k4), range(4))) == [0, 1, 2, 3]
+    p25 = fx.path(25)
+    assert hamiltonian_path(p25, recognize_interval(p25), range(25)) in (list(range(25)), list(range(24, -1, -1)))
     rng = random.Random(6001)
-    for _ in range(60):
-        g = fx.rand_connected_graph(rng, rng.randint(1, 7))
-        got = hamiltonian_path(g)
-        brute = fx.brute_hamiltonian_path(g)
-        assert (got is None) == (brute is None)
-        if got is not None:
-            assert sorted(got) == list(range(g.n))
-            assert all(g.has_edge(got[i], got[i + 1]) for i in range(g.n - 1))
+    for family in (fx.rand_interval, fx.rand_sparse_interval):
+        for _ in range(150):
+            g = family(rng, rng.randint(1, 9))
+            order = recognize_interval(g)
+            _checked_path(g, order, range(g.n))
+            for t in range(g.n):
+                # G's clique path restricted to N(t) models G[N(t)].
+                _checked_path(g, order, g.adj[t])
 
 
 def test_mcs_interval_sufficient_examples():
