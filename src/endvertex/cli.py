@@ -449,13 +449,7 @@ def main(argv=None) -> int:
         print("error: input too large for a recursive step (interpreter recursion limit reached)",
               file=sys.stderr)
         return 1
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,14 +2,15 @@
 contracts, plus a dispatcher that routes a query to the strongest
 characterization its search kind has.
 
-The public deciders check connectivity, and their class where a linear
-check exists (chordal, split) or the decider needs the certificate
-(interval); unit interval membership (near-linear) and (claw, net)-free
-membership (not linear) are checked only with verify_class=True.  The
-private helpers (`_*_explain`, `_dfs_interval`) assume every
-precondition: `dispatch_endvertex` checks connectivity once, recognizes
-only the classes the query's kind can use, each at most once and with
-its certificate, and calls them directly.
+Each complete characterization is one private function
+`(g, t, cert, name_of) -> (holds, detail)` that assumes g connected and
+in its class, with `cert` the class's certificate.  `dispatch_endvertex`
+checks connectivity once, recognizes only the classes the query's kind
+can use, each at most once, and calls the characterization its route
+table names.  Each public `decide_*` function runs the same
+characterization behind one precondition helper, `_decide`, which
+checks the target, connectivity and the class, and raises
+ClassMismatchError when the class check fails.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 from typing import Iterable
 
 from .chordal import recognize_chordal
-from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError, NotChordalError
+from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError
 from .graph import Graph, cut_vertices, is_connected, is_inclusion_chain, is_simplicial
 from .oracle import is_endvertex_exhaustive
 from .recognize import (
@@ -49,17 +50,11 @@ def decide_mns_chordal(g: Graph, t: int) -> bool:
     simplicial and the minimal separators inside N(t) form an inclusion
     chain.  Those separators are exactly the sets N(C), one per
     component C of G - N[t], so one search over G - N[t] finds them and
-    no clique tree is built.  O(n + m), the chordality check included;
-    raises NotChordalError on non-chordal input."""
-    _check_target(g, t)
-    if recognize_chordal(g) is None:  # raises on disconnected input
-        raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
-    ok, _ = _mns_chordal_explain(g, t)
-    return ok
+    no clique tree is built.  O(n + m), the chordality check included."""
+    return _decide(g, t, "chordal", recognize_chordal, _mns_chordal)
 
 
-def _mns_chordal_explain(g: Graph, t: int, name_of=str) -> tuple[bool, str | None]:
-    """Assumes g connected and chordal."""
+def _mns_chordal(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
     inside = list(set(_outside_component_neighborhoods(g, t)))
@@ -112,18 +107,11 @@ def decide_mcs_split(g: Graph, t: int) -> bool:
     """t is an MCS end-vertex of a connected split graph iff t is
     simplicial and the neighborhoods of all strictly lower-degree
     vertices form an inclusion chain.  Counting sort by degree plus a
-    stamped marking array keep this O(n + m)."""
-    _check_target(g, t)
-    if not is_connected(g):
-        raise DisconnectedGraphError("split decider requires a connected graph")
-    if not is_split(g):
-        raise ClassMismatchError("graph is not split")
-    ok, _ = _mcs_split_explain(g, t)
-    return ok
+    stamped marking array keep this O(n + m), the split check included."""
+    return _decide(g, t, "split", is_split, _mcs_split)
 
 
-def _mcs_split_explain(g: Graph, t: int, name_of=str) -> tuple[bool, str | None]:
-    """Assumes g connected and split."""
+def _mcs_split(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
     n = g.n
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
@@ -157,21 +145,15 @@ def _mcs_split_explain(g: Graph, t: int, name_of=str) -> tuple[bool, str | None]
 # Unit interval graphs (MNS, MCS and LDFS simultaneously)
 
 
-def decide_unit_interval(g: Graph, t: int, verify_class: bool = False) -> bool:
+def decide_unit_interval(g: Graph, t: int) -> bool:
     """End-vertex status of t on a connected unit interval graph, valid
     simultaneously for MNS, MCS and LDFS: t is simplicial and G - N[t]
-    is connected (or empty).  O(n + m) with verification off."""
-    _check_target(g, t)
-    if not is_connected(g):
-        raise DisconnectedGraphError("unit interval decider requires a connected graph")
-    if verify_class and recognize_unit_interval(g) is None:
-        raise ClassMismatchError("graph is not unit interval")
-    ok, _ = _unit_interval_explain(g, t)
-    return ok
+    is connected (or empty).  O(n + m) after the class check, whose
+    three LBFS sweeps cost O(n + m log Δ)."""
+    return _decide(g, t, "unit interval", recognize_unit_interval, _unit_interval)
 
 
-def _unit_interval_explain(g: Graph, t: int, name_of=str) -> tuple[bool, str | None]:
-    """Assumes g connected and unit interval."""
+def _unit_interval(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
     if _connected_outside_closed_neighborhood(g, t):
@@ -188,33 +170,34 @@ def _connected_outside_closed_neighborhood(g: Graph, t: int) -> bool:
 # DFS deciders
 
 
-def decide_dfs_claw_net_free(g: Graph, t: int, verify_class: bool = False) -> bool:
+def decide_dfs_claw_net_free(g: Graph, t: int) -> bool:
     """On a connected (claw, net)-free graph, t is a DFS end-vertex iff
-    t is not a cut vertex.  O(n + m) with verification off."""
-    _check_target(g, t)
-    if verify_class and not is_claw_net_free(g):
-        raise ClassMismatchError("graph contains an induced claw or net")
-    return t not in cut_vertices(g)
+    t is not a cut vertex.  O(n + m) after the class check, which is
+    not linear."""
+    return _decide(g, t, "claw-net-free", is_claw_net_free, _cut_vertex)
+
+
+def _cut_vertex(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
+    if t in cut_vertices(g):
+        return False, f"vertex {name_of(t)} is a cut vertex"
+    return True, None
 
 
 def decide_dfs_interval(g: Graph, t: int) -> bool:
     """On a connected interval graph, t is a DFS end-vertex iff the
     subgraph induced by N(t), taken as one graph, has a hamiltonian
-    path.  Recognizes the class once (near-linear), then O(n + m);
-    raises ClassMismatchError when g has no clique path."""
-    _check_target(g, t)
-    if not is_connected(g):
-        raise DisconnectedGraphError("interval DFS decider requires a connected graph")
-    order = recognize_interval(g)
-    if order is None:
-        raise ClassMismatchError("graph is not interval")
-    return _dfs_interval(g, t, order)
+    path.  Recognizes the class once (near-linear), then O(n + m)."""
+    return _decide(g, t, "interval", recognize_interval, _dfs_interval)
 
 
-def _dfs_interval(g: Graph, t: int, order: CliqueOrder) -> bool:
-    """Assumes g connected and `order` a clique path of g.  G's clique
-    path restricted to N(t) is an interval model of G[N(t)]."""
-    return hamiltonian_path(g, order, g.adj[t]) is not None
+def _dfs_interval(g: Graph, t: int, order: CliqueOrder, name_of=str) -> tuple[bool, str | None]:
+    """`order` is a clique path of g, which restricted to N(t) is an
+    interval model of G[N(t)].  The only characterization that reads
+    its certificate: a hint that implies interval (unit-interval) also
+    implies claw-net-free, whose route answers DFS first."""
+    if hamiltonian_path(g, order, g.adj[t]) is not None:
+        return True, None
+    return False, f"G[N({name_of(t)})] has no hamiltonian path"
 
 
 def hamiltonian_path(g: Graph, order: CliqueOrder, vertices: Iterable[int]) -> list[int] | None:
@@ -323,6 +306,16 @@ _IMPLIES = {
     "unit-interval": ("interval", "chordal", "claw-net-free"),
 }
 _HINTS = ("auto", *_IMPLIES)
+# Kind -> its complete characterizations, tried in order:
+# (class, method, characterization given the class's certificate).
+_ROUTES = {
+    SearchKind.MNS: (("chordal", "chordal MNS characterization", _mns_chordal),),
+    SearchKind.MCS: (("split", "split MCS characterization", _mcs_split),
+                     ("unit-interval", "unit-interval characterization", _unit_interval)),
+    SearchKind.LDFS: (("unit-interval", "unit-interval characterization", _unit_interval),),
+    SearchKind.DFS: (("claw-net-free", "cut-vertex characterization", _cut_vertex),
+                     ("interval", "interval DFS characterization", _dfs_interval)),
+}
 
 
 def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | None = None,
@@ -342,8 +335,8 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     validated up front (a failed certificate is a ClassMismatchError);
     then the hint and the classes it implies are the only classes that
     hold.  `classes` of the result lists the classes established while
-    answering.  Connectivity is checked once, here; the deciders below
-    trust it and the class instead of checking again.
+    answering.  Connectivity is checked once, here; the characterizations
+    of `_ROUTES` trust it and the class instead of checking again.
     """
     _check_target(g, t)
     if not is_connected(g):
@@ -383,23 +376,11 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
             return result(Verdict.UNKNOWN, "none", unknown_detail)
         return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle", detail, witness)
 
-    if kind is SearchKind.MNS and holds("chordal"):
-        ok, why = _mns_chordal_explain(g, t, name_of=name_of)
-        return result(Verdict.YES if ok else Verdict.NO, "chordal MNS characterization", why)
-    if kind is SearchKind.MCS and holds("split"):
-        ok, why = _mcs_split_explain(g, t, name_of=name_of)
-        return result(Verdict.YES if ok else Verdict.NO, "split MCS characterization", why)
-    if kind in (SearchKind.MCS, SearchKind.LDFS) and holds("unit-interval"):
-        ok, why = _unit_interval_explain(g, t, name_of=name_of)
-        return result(Verdict.YES if ok else Verdict.NO, "unit-interval characterization", why)
-    if kind is SearchKind.DFS and holds("claw-net-free"):
-        ok = decide_dfs_claw_net_free(g, t)
-        return result(Verdict.YES if ok else Verdict.NO, "cut-vertex characterization",
-                      None if ok else f"vertex {name_of(t)} is a cut vertex")
-    if kind is SearchKind.DFS and holds("interval"):
-        ok = _dfs_interval(g, t, certs["interval"])
-        return result(Verdict.YES if ok else Verdict.NO, "interval DFS characterization",
-                      None if ok else f"G[N({name_of(t)})] has no hamiltonian path")
+    for cls, method, characterization in _ROUTES.get(kind, ()):
+        cert = holds(cls)
+        if cert:
+            ok, why = characterization(g, t, cert, name_of)
+            return result(Verdict.YES if ok else Verdict.NO, method, why)
     if kind is SearchKind.MCS and holds("interval"):
         if _mcs_interval_verdict(g, certs["interval"], t) is Verdict.YES:
             return result(Verdict.YES, "interval MCS sufficient condition")
@@ -407,6 +388,19 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
             "MCS on general interval graphs has no full characterization in scope",
             "no polynomial characterization in scope (MCS on interval graphs is open)")
     return oracle_or_unknown(None, "no polynomial characterization in scope")
+
+
+def _decide(g: Graph, t: int, cls: str, recognize, characterization) -> bool:
+    """A public decider: checks t and connectivity, runs the class check
+    `recognize` and hands its certificate to `characterization`.
+    Raises ClassMismatchError when the check fails."""
+    _check_target(g, t)
+    if not is_connected(g):
+        raise DisconnectedGraphError(f"{cls} decider requires a connected graph")
+    cert = recognize(g)
+    if not cert:
+        raise ClassMismatchError(f"graph is not {cls}")
+    return characterization(g, t, cert)[0]
 
 
 def _check_target(g: Graph, t: int) -> None:

@@ -139,12 +139,12 @@ def cut_vertices(g: Graph) -> frozenset:
     """Articulation vertices of a connected graph, in linear time.
 
     Iterative lowpoint computation (recursion-free so large instances do
-    not hit the interpreter stack limit).
+    not hit the interpreter stack limit).  The same DFS checks
+    connectivity: it raises DisconnectedGraphError when it reaches fewer
+    than n vertices.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("cut_vertices requires a connected graph")
     n = g.n
-    if n <= 2:
+    if n <= 1:
         return frozenset()
     disc = [-1] * n
     low = [0] * n
@@ -152,7 +152,7 @@ def cut_vertices(g: Graph) -> frozenset:
     cuts = set()
     timer = 0
     adj = g.adj
-    # One DFS from vertex 0 suffices on a connected graph.
+    # One DFS from vertex 0 reaches every vertex of a connected graph.
     root = 0
     stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
     disc[root] = low[root] = timer
@@ -182,6 +182,8 @@ def cut_vertices(g: Graph) -> frozenset:
                     low[p] = low[v]
                 if p != root and low[v] >= disc[p]:
                     cuts.add(p)
+    if timer < n:
+        raise DisconnectedGraphError("cut_vertices requires a connected graph")
     if root_children > 1:
         cuts.add(root)
     return frozenset(cuts)

@@ -7,7 +7,6 @@ from endvertex import (
     ClassMismatchError,
     DisconnectedGraphError,
     Graph,
-    NotChordalError,
     SearchKind,
     Verdict,
     clique_tree,
@@ -21,8 +20,12 @@ from endvertex import (
     endvertex_set_exhaustive,
     hamiltonian_path,
     induced_subgraph,
+    is_claw_net_free,
+    is_split,
     mcs_interval_sufficient,
+    recognize_chordal,
     recognize_interval,
+    recognize_unit_interval,
 )
 import endvertex.deciders as deciders
 from endvertex.deciders import _outside_component_neighborhoods
@@ -37,7 +40,7 @@ def test_mns_chordal_examples():
     right, nmr = fx.interval_pair_right()
     assert decide_mns_chordal(right, nmr["t"])
     assert not decide_mns_chordal(fx.path(3), 1)
-    with pytest.raises(NotChordalError):
+    with pytest.raises(ClassMismatchError):
         decide_mns_chordal(fx.cycle(4), 0)
     with pytest.raises(DisconnectedGraphError):
         decide_mns_chordal(Graph.from_edges(4, [(0, 1), (2, 3)]), 0)
@@ -65,7 +68,7 @@ def test_unit_interval_examples():
     k3 = fx.clique(3)
     assert all(decide_unit_interval(k3, t) for t in range(3))
     with pytest.raises(ClassMismatchError):
-        decide_unit_interval(fx.claw(), 0, verify_class=True)
+        decide_unit_interval(fx.claw(), 0)
 
 
 def test_dfs_claw_net_free_examples():
@@ -75,7 +78,51 @@ def test_dfs_claw_net_free_examples():
     c5 = fx.cycle(5)
     assert all(decide_dfs_claw_net_free(c5, t) for t in range(5))
     with pytest.raises(ClassMismatchError):
-        decide_dfs_claw_net_free(fx.claw(), 0, verify_class=True)
+        decide_dfs_claw_net_free(fx.claw(), 0)
+
+
+def test_deciders_refuse_graphs_outside_their_class():
+    """A decider never answers for the wrong class."""
+    # Chordal and not unit interval; dispatch finds 0 is an MNS, MCS and
+    # LDFS end-vertex.
+    g5 = Graph.from_edges(5, [(0, 1), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)])
+    assert all(0 in endvertex_set_exhaustive(g5, kind) for kind in (K.MNS, K.MCS, K.LDFS))
+    with pytest.raises(ClassMismatchError):
+        decide_unit_interval(g5, 0)
+    # Not claw-net-free, and 2 is no DFS end-vertex although it is no
+    # cut vertex.
+    g8 = Graph.from_edges(8, [(0, 2), (0, 6), (1, 4), (2, 5), (2, 7), (3, 6), (4, 5), (4, 6),
+                              (5, 6), (6, 7)])
+    assert 2 not in endvertex_set_exhaustive(g8, K.DFS)
+    with pytest.raises(ClassMismatchError):
+        decide_dfs_claw_net_free(g8, 2)
+
+
+# Public decider -> (its class check, the kinds whose end-vertices it decides).
+_DECIDERS = (
+    (decide_mns_chordal, recognize_chordal, (K.MNS,)),
+    (decide_mcs_split, is_split, (K.MCS,)),
+    (decide_unit_interval, recognize_unit_interval, (K.MNS, K.MCS, K.LDFS)),
+    (decide_dfs_claw_net_free, is_claw_net_free, (K.DFS,)),
+    (decide_dfs_interval, recognize_interval, (K.DFS,)),
+)
+
+
+def test_public_deciders_refuse_exactly_when_their_class_check_fails():
+    rng = random.Random(6007)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        g = (fx.rand_connected_graph if trial % 2 else fx.rand_chordal)(rng, n)
+        for decide, check, kinds in _DECIDERS:
+            if not check(g):
+                for t in range(n):
+                    with pytest.raises(ClassMismatchError):
+                        decide(g, t)
+                continue
+            decided = frozenset(t for t in range(n) if decide(g, t))
+            for kind in kinds:
+                assert decided == endvertex_set_exhaustive(g, kind), (
+                    f"trial {trial}: {decide.__name__} against {kind.value}")
 
 
 def test_dfs_interval_examples():
