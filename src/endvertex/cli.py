@@ -34,12 +34,13 @@ from .oracle import (
     is_endvertex_exhaustive,
 )
 from .recognize import (
+    _unit_interval_order,
     is_claw_net_free,
     recognize_interval,
     recognize_split,
-    recognize_unit_interval,
 )
 from .reduction import (
+    DEFAULT_SAT_GUARD,
     build_mcs_gadget,
     build_mns_gadget,
     parse_dimacs,
@@ -295,7 +296,7 @@ def cmd_reduce(args) -> int:
     witness = None
     satisfiable = None
     if args.witness:
-        assignment = sat_bruteforce(cnf)
+        assignment = sat_bruteforce(cnf, args.guard)
         satisfiable = assignment is not None
         if assignment is not None:
             witness = (witness_order_mns(cnf, assignment) if args.search == "mns"
@@ -329,7 +330,8 @@ def cmd_recognize(args) -> int:
     hole = None if peo is not None else chordal_hole(g)
     split = recognize_split(g)
     interval = recognize_interval(g, peo) if peo is not None else None
-    unit = recognize_unit_interval(g) if interval is not None else None
+    # recognize_interval has checked connectivity.
+    unit = _unit_interval_order(g) if interval is not None else None
     claw_net_free = is_claw_net_free(g)
     doc = {
         "command": "recognize",
@@ -422,6 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roles", default=None, help="write the role map here")
     p.add_argument("--witness", action="store_true",
                    help="brute-force SAT and emit a witness order when satisfiable")
+    p.add_argument("--guard", type=int, default=DEFAULT_SAT_GUARD,
+                   help="most variables the --witness brute force may enumerate "
+                        f"(default: {DEFAULT_SAT_GUARD})")
     add_json(p)
     p.set_defaults(func=cmd_reduce)
 
@@ -440,10 +445,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except GuardExceededError as exc:
         # `endvertex` answers Unknown past its guards, so this comes from
-        # `oracle`, whose guard has a flag, or from `reduce`'s brute-force
-        # SAT, whose guard has none and is reported bare.
-        raise_it = " (raise --guard to proceed)" if args.command == "oracle" else ""
-        print(f"error: {exc}{raise_it}", file=sys.stderr)
+        # `oracle` or from `reduce`'s brute-force SAT, which both take --guard.
+        print(f"error: {exc} (raise --guard to proceed)", file=sys.stderr)
         return 1
     except RecursionError:
         print("error: input too large for a recursive step (interpreter recursion limit reached)",

@@ -25,11 +25,11 @@ from .graph import Graph, cut_vertices, is_connected, is_inclusion_chain, is_sim
 from .oracle import is_endvertex_exhaustive
 from .recognize import (
     CliqueOrder,
+    _interval_order,
+    _unit_interval_order,
     is_claw_net_free,
     is_split,
-    recognize_interval,
     recognize_split,
-    recognize_unit_interval,
     validate_clique_order,
 )
 from .search import SearchKind
@@ -150,7 +150,7 @@ def decide_unit_interval(g: Graph, t: int) -> bool:
     simultaneously for MNS, MCS and LDFS: t is simplicial and G - N[t]
     is connected (or empty).  O(n + m) after the class check, whose
     three LBFS sweeps cost O(n + m log Δ)."""
-    return _decide(g, t, "unit interval", recognize_unit_interval, _unit_interval)
+    return _decide(g, t, "unit interval", _unit_interval_order, _unit_interval)
 
 
 def _unit_interval(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
@@ -187,7 +187,7 @@ def decide_dfs_interval(g: Graph, t: int) -> bool:
     """On a connected interval graph, t is a DFS end-vertex iff the
     subgraph induced by N(t), taken as one graph, has a hamiltonian
     path.  Recognizes the class once (near-linear), then O(n + m)."""
-    return _decide(g, t, "interval", recognize_interval, _dfs_interval)
+    return _decide(g, t, "interval", _interval_order, _dfs_interval)
 
 
 def _dfs_interval(g: Graph, t: int, order: CliqueOrder, name_of=str) -> tuple[bool, str | None]:
@@ -290,12 +290,14 @@ class DispatchResult:
 
 # Class -> (recognizer given g and the presumed class's certificate,
 # returning its own or None; the class it presumes).  The lambdas look each
-# recognizer up when called, so a recognizer patched here is the one that runs.
+# recognizer up when called, so a recognizer patched here is the one that
+# runs.  Dispatch has checked connectivity, so the interval classes call
+# the recognizers' bodies, which do not check it again.
 _RECOGNIZERS = {
     "chordal": (lambda g, _: recognize_chordal(g), None),
     "split": (lambda g, _: recognize_split(g), "chordal"),
-    "interval": (lambda g, peo: recognize_interval(g, peo), "chordal"),
-    "unit-interval": (lambda g, _: recognize_unit_interval(g), "interval"),
+    "interval": (lambda g, peo: _interval_order(g, peo), "chordal"),
+    "unit-interval": (lambda g, _: _unit_interval_order(g), "interval"),
     "claw-net-free": (lambda g, _: is_claw_net_free(g) or None, None),
 }
 # Class hint -> the classes it implies.
@@ -392,7 +394,8 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
 
 def _decide(g: Graph, t: int, cls: str, recognize, characterization) -> bool:
     """A public decider: checks t and connectivity, runs the class check
-    `recognize` and hands its certificate to `characterization`.
+    `recognize` (which may presume connectivity) and hands its
+    certificate to `characterization`.
     Raises ClassMismatchError when the check fails."""
     _check_target(g, t)
     if not is_connected(g):

@@ -173,6 +173,11 @@ def recognize_interval(g: Graph, peo: list[int] | None = None) -> CliqueOrder | 
     """
     if not is_connected(g):
         raise ValueError("interval recognition needs a connected graph")
+    return _interval_order(g, peo)
+
+
+def _interval_order(g: Graph, peo: list[int] | None = None) -> CliqueOrder | None:
+    """`recognize_interval` on a graph already known to be connected."""
     try:
         cliques, tree = clique_tree(g, peo)
     except NotChordalError:
@@ -298,7 +303,8 @@ def _unit_interval_order(g: Graph) -> list[int] | None:
     LBFS+ of that; g is unit interval iff the third order is a unit
     interval order.  The first order that passes the check is returned.
     Each component is swept as a whole, so this holds per component on
-    disconnected input."""
+    disconnected input; `recognize_unit_interval` is this on a graph
+    checked to be connected."""
     order = _lbfs(g, range(g.n))
     for _ in range(2):
         if check_unit_interval_order(g, order):

@@ -72,7 +72,10 @@ def assignment_satisfies(cnf: CnfFormula, assignment: dict[int, bool]) -> bool:
     return all(any(assignment[var] == pol for var, pol in clause) for clause in cnf.clauses)
 
 
-def sat_bruteforce(cnf: CnfFormula, guard: int = 24) -> dict[int, bool] | None:
+DEFAULT_SAT_GUARD = 24
+
+
+def sat_bruteforce(cnf: CnfFormula, guard: int = DEFAULT_SAT_GUARD) -> dict[int, bool] | None:
     """A satisfying assignment, or None after exhausting all 2^k
     assignments.  Refuses to enumerate beyond the guard."""
     k = cnf.variable_count

@@ -36,9 +36,10 @@ per kind, none of which keeps these position bitmasks:
                 neighbours, O(n + m log Δ) for maximum degree Δ; the
                 recognizers' LBFS sweeps run it too
   LDFS          a stack of partition classes, O(n + m log n)
-  MNS           groups of equal label and their inclusion-maximal
-                labels, kept incrementally; not linear in general (the
-                per-step cost is in `_mns_picks`)
+  MNS           groups of equal label (the set of visited neighbours),
+                the inclusion-maximal labels and a lazy heap over them,
+                kept incrementally; a step costs about the degrees around
+                it, not linear in general (see `_mns_picks`)
 
 `SearchReplay` keeps the labels themselves; it serves `eligible_set` and
 the exhaustive oracle, which walk arbitrary prefixes.
@@ -51,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from operator import or_
 from typing import Iterator, Sequence
 
@@ -509,84 +510,133 @@ def _ldfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Ite
 
 
 def _mns_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Iterator[int]:
-    """The unvisited vertices grouped by label, each group a lazy heap of
-    ranks, plus the set of inclusion-maximal labels.  Visiting v gives its
-    unvisited neighbours a fresh bit: the maximal labels among those that
-    gained it join the maxima, an old maximum survives unless one of its
-    members gained it too (a new label then contains it), and if v leaves
-    its own group empty, the labels inside v's label are checked again
-    against the maxima, largest first.  A visited vertex's bit slot is recycled once it
-    has no unvisited neighbour, so labels are as wide as the frontier.
+    """The unvisited vertices grouped by label (the frozenset of their
+    visited neighbours), each group a lazy heap of ranks, plus the set of
+    inclusion-maximal labels and a lazy heap `tops` of (least rank of the
+    group, label) over them.
 
-    Not linear in general: a step costs O(d log n + t^2 + M), plus
-    O(L + s M) when v empties its group, for d unvisited neighbours in t
-    groups, M maximal labels, L labels and s labels inside v's, in word
-    operations on labels as wide as the frontier."""
+    Visiting v moves each group of its unvisited neighbours to one new
+    label, the old one plus v, built once per group; a group only ever
+    loses members after that, so each label object names one group for
+    good.  The maximal labels among those that grew join the maxima, and
+    an old maximum survives unless some of its members grew too (their
+    new label contains it).  If v leaves its own group empty, a label
+    inside v's may become maximal.  Each such label was grown at the
+    visit of its latest vertex, a visited neighbour x of v, so only the
+    live labels grown at those visits are looked at.  A label L is
+    maximal iff no label in N(x) strictly contains it, for any x in L,
+    since every label holding x belongs to an unvisited neighbour of x:
+    the x with the fewest unvisited neighbours is scanned, unless they
+    all hold L itself (then L is maximal) or L is {x} (then any other
+    label holding x contains it).  The empty label is maximal exactly
+    when no nonempty label is left.  A `tops` entry is stale once its
+    label has left the maxima (dropped) or its rank has left the group
+    (refreshed to the group's least rank, which only ever rises).
+
+    Not linear in general.  A step costs O(d log n + t^2 s) for d
+    unvisited neighbours in t groups and labels of at most s vertices (a
+    label never outgrows its vertex's degree).  When v empties its group,
+    add s for each live label grown at the visits of v's visited
+    neighbours, plus deg(x) s for each one inside v's that needs the
+    scan.  Lazy heap pops, and dropping dead labels from those lists, are
+    paid for by the pushes."""
     n = len(adj)
-    label = [0] * n  # bits of the slots of visited neighbours; -1 once visited
+    empty = frozenset()
+    label: list = [empty] * n  # None once visited
     left = [0] * n  # a visited vertex's unvisited neighbours
-    slot = [0] * n
-    free: list[int] = []
-    width = 0
-    heaps = {0: list(range(n))}  # label -> ranks of its group; a sorted list is a heap
-    size = {0: n}
-    maxima = {0}
+    born: list = [None] * n  # visited vertex -> the labels grown at its visit
+    groups = {empty: list(range(n))}  # label -> lazy heap of its ranks; a sorted list is a heap
+    size = {empty: n}
+    maxima = {empty}
+    tops = [(0, empty)]
     v = first
     while True:
         yield v
         own = label[v]
-        label[v] = -1
+        label[v] = None
         size[own] -= 1
-        fresh = [w for w in adj[v] if label[w] >= 0]
-        left[v] = len(fresh)
-        olds = set()
-        if fresh:
-            if free:
-                slot[v] = free.pop()
+        moved: dict = {}  # old label -> the unvisited neighbours of v holding it
+        for w in adj[v]:
+            lab = label[w]
+            if lab is None:
+                left[w] -= 1
+            elif lab in moved:
+                moved[lab].append(w)
             else:
-                slot[v] = width
-                width += 1
-            bit = 1 << slot[v]
-            for w in fresh:
-                lab = label[w]
-                olds.add(lab)
-                size[lab] -= 1
-                lab = label[w] = lab | bit
-                if lab in size:
-                    size[lab] += 1
-                else:
-                    size[lab] = 1
-                    heaps[lab] = []
-                heappush(heaps[lab], rank[w])
-            # Gaining the same bit keeps containment among the old labels.
-            tops: list[int] = []
-            for lab in sorted(olds, key=int.bit_count, reverse=True):
-                if all(lab & top != lab for top in tops):
-                    tops.append(lab)
-            maxima -= olds
-            maxima.update(top | bit for top in tops)
-        for u in adj[v]:
-            if label[u] < 0:
-                left[u] -= 1
-                if not left[u]:
-                    free.append(slot[u])
-        for lab in olds:
-            if not size[lab]:
-                del size[lab], heaps[lab]
-        if own not in olds and not size[own]:  # else own | bit contains what own did
-            del size[own], heaps[own]
+                moved[lab] = [w]
+        if moved:
+            bit = {v}
+            grown = {}
+            for old, ws in moved.items():
+                lab = grown[old] = old | bit
+                for w in ws:
+                    label[w] = lab
+                left[v] += len(ws)
+                groups[lab] = sorted(map(rank.__getitem__, ws)) if len(ws) > 1 else [rank[ws[0]]]
+                size[lab] = len(ws)
+                size[old] -= len(ws)
+                if not size[old]:
+                    del size[old], groups[old]
+            born[v] = list(grown.values())
+            # Gaining the same vertex keeps containment among the old labels.
+            maxima.difference_update(moved)
+            for old in _maximal(moved):
+                lab = grown[old]
+                maxima.add(lab)
+                heappush(tops, (groups[lab][0], lab))
+        # Else own | {v} contains what own did.
+        if own not in moved and not size[own]:
+            del size[own], groups[own]
             maxima.discard(own)
-            for lab in sorted([lab for lab in size if lab & own == lab],
-                              key=int.bit_count, reverse=True):
-                if all(lab & top != lab for top in maxima):
-                    maxima.add(lab)
-        best = n
-        for top in maxima:
-            heap = heaps[top]
-            while label[by_rank[heap[0]]] != top:
-                heappop(heap)
-            if heap[0] < best:
-                best = heap[0]
-        if best == n:
+            for x in own:
+                labs = born[x] = [lab for lab in born[x] if lab in size]  # the live ones
+                for lab in labs:
+                    if lab < own and lab not in maxima and _maximal_at(lab, adj, label, left, size):
+                        maxima.add(lab)
+                        heappush(tops, (groups[lab][0], lab))
+            if not maxima and empty in size:
+                maxima.add(empty)
+                heappush(tops, (groups[empty][0], empty))
+        while tops:
+            r, lab = tops[0]
+            v = by_rank[r]
+            if lab not in maxima:
+                heappop(tops)
+            elif label[v] is lab:  # a live rank no larger than the group's least
+                break
+            else:
+                heap = groups[lab]
+                while label[by_rank[heap[0]]] is not lab:
+                    heappop(heap)
+                heapreplace(tops, (heap[0], lab))
+        else:
             return
-        v = by_rank[best]
+
+
+def _maximal_at(lab: frozenset, adj, label: list, left: list[int], size: dict) -> bool:
+    """No label strictly contains the nonempty `lab`; checked at the member
+    with the fewest unvisited neighbours, as `_mns_picks` explains."""
+    x = min(lab, key=left.__getitem__)
+    if left[x] == size[lab]:
+        return True
+    if len(lab) == 1:  # any other label holding x strictly contains {x}
+        return False
+    for u in adj[x]:
+        other = label[u]
+        if other is not None and lab < other:
+            return False
+    return True
+
+
+def _maximal(labels) -> list[frozenset]:
+    """The inclusion-maximal sets among distinct ones."""
+    if len(labels) < 2:
+        return list(labels)
+    out: list[frozenset] = []
+    for lab in sorted(labels, key=len, reverse=True):
+        for top in out:
+            if lab < top:
+                break
+        else:
+            out.append(lab)
+    return out

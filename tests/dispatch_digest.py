@@ -65,8 +65,8 @@ def memoized(recognizer):
 
 
 def main() -> None:
-    deciders.recognize_interval = memoized(deciders.recognize_interval)
-    deciders.recognize_unit_interval = memoized(deciders.recognize_unit_interval)
+    deciders._interval_order = memoized(deciders._interval_order)
+    deciders._unit_interval_order = memoized(deciders._unit_interval_order)
     shas = {name: hashlib.sha256() for name in ("verdicts", "witnesses", "methods")}
     methods: Counter = Counter()
     total = 0

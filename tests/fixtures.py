@@ -136,6 +136,18 @@ def rand_connected_graph(rng: random.Random, n: int, p: float | None = None) -> 
     return g if _connected(g) else rand_connected_graph(rng, n, p)
 
 
+def rand_sparse_connected(rng: random.Random, n: int, avg_degree: int) -> Graph:
+    """A random recursive tree (so connected) topped up with uniform
+    random edges until the average degree is reached.  An MNS search's
+    frontier grows to a constant share of the vertices here."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n * avg_degree // 2:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, edges)
+
+
 def _connected(g: Graph) -> bool:
     from endvertex import is_connected
     return is_connected(g)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import fixtures as fx
 import endvertex
 from endvertex import Graph
 from endvertex.cli import InputError, graph_to_text, load_graph, main, parse_graph_text
@@ -238,7 +239,7 @@ def test_cli_recursion_error_is_exit_1_without_traceback(tmp_path, capsys, monke
     def recurse(g):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(endvertex.deciders, "recognize_unit_interval", recurse)
+    monkeypatch.setattr(endvertex.deciders, "_unit_interval_order", recurse)
     assert main(["endvertex", _window_file(tmp_path, 20), "--class", "unit-interval",
                  "--kind", "ldfs", "--target", "19", "--json"]) == 1
     captured = capsys.readouterr()
@@ -285,8 +286,8 @@ def test_cli_auto_mns_and_dfs_on_a_long_window_recognize_only_linear_classes(tmp
 
 
 def test_cli_guard_errors_name_only_flags_that_exist(tmp_path, capsys):
-    """`oracle` names its --guard flag; `reduce --witness` past the
-    brute-force SAT guard has no flag, so the limit is reported bare."""
+    """Both commands that can pass a guard, `oracle` and `reduce
+    --witness` (its brute-force SAT), take --guard and name it."""
     assert main(["oracle", _path_file(tmp_path, 13), "--kind", "bfs"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -298,7 +299,22 @@ def test_cli_guard_errors_name_only_flags_that_exist(tmp_path, capsys):
     assert main(["reduce", str(cnf), "--search", "mns", "--witness"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: brute-force SAT: size 25 exceeds guard 24"]
+    assert captured.err.splitlines() == [
+        "error: brute-force SAT: size 25 exceeds guard 24 (raise --guard to proceed)"]
+
+
+def test_cli_reduce_guard_is_honoured(tmp_path, capsys):
+    cnf = tmp_path / "fig2.cnf"
+    cnf.write_text("p cnf 4 3\n-1 2 -3 0\n1 -3 4 0\n-1 -3 -4 0\n")
+    query = ["reduce", str(cnf), "--search", "mcs", "--witness", "--json"]
+    assert main(query + ["--guard", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: brute-force SAT: size 4 exceeds guard 3 (raise --guard to proceed)"]
+    assert main(query + ["--guard", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["satisfiable"] is True and doc["witness"] is not None
 
 
 def _path_file(tmp_path, n):
@@ -400,9 +416,13 @@ def test_import_leaves_numpy_unloaded(module):
 
 
 def test_cli_ldfs_and_mns_round_trip_on_a_20000_vertex_window(tmp_path):
-    """`search` then `validate` as separate processes.  The timeout turns a
-    quadratic search engine into a failure instead of a hung suite."""
-    path = _window_file(tmp_path, 20_000)
+    """`search` then `validate` as separate processes, LDFS and MNS on a
+    20 000-vertex window and MNS on a 10 000-vertex random sparse graph,
+    whose search frontier grows with n.  The timeout turns a quadratic
+    search engine into a failure instead of a hung suite."""
+    window = _window_file(tmp_path, 20_000)
+    sparse = tmp_path / "sparse10000.graph"
+    sparse.write_text(graph_to_text(fx.rand_sparse_connected(random.Random(4001), 10_000, 10)))
     src = str(Path(endvertex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -410,10 +430,11 @@ def test_cli_ldfs_and_mns_round_trip_on_a_20000_vertex_window(tmp_path):
         return subprocess.run([sys.executable, "-m", "endvertex.cli", *args], env=env,
                               capture_output=True, text=True, timeout=60)
 
-    for kind in ("ldfs", "mns"):
+    for path, n, kind in ((window, 20_000, "ldfs"), (window, 20_000, "mns"),
+                          (str(sparse), 10_000, "mns")):
         found = cli("search", path, "--kind", kind)
         assert found.returncode == 0, found.stderr
         order = found.stdout.strip()
-        assert sorted(map(int, order.split(","))) == list(range(20_000))
+        assert sorted(map(int, order.split(","))) == list(range(n))
         checked = cli("validate", path, "--kind", kind, "--order", order)
         assert (checked.returncode, checked.stdout) == (0, "valid\n"), checked.stderr

@@ -409,6 +409,44 @@ def test_linear_engines_double_when_n_doubles():
             gc.enable()
 
 
+def _with_universal_vertex(g):
+    hub = g.n // 2
+    return Graph.from_edges(g.n, [*g.edges(), *((hub, v) for v in range(g.n) if v != hub)])
+
+
+def test_mns_doubles_when_n_doubles_on_sparse_graphs():
+    """Best of 3 MNS `run_search` + `validate_order` times at most triple
+    from n = 2000 to 4000 on random sparse graphs with average degree 5
+    and 10, whose search frontier (and so the number of maximal labels)
+    grows to a constant share of the vertices, and on the first with a
+    universal vertex added, which every later label holds.  The collector
+    is paused while timing, as above."""
+    rng = random.Random(3010)
+    families = {f"average degree {degree}": {n: fx.rand_sparse_connected(rng, n, degree)
+                                             for n in (2000, 4000)}
+                for degree in (5, 10)}
+    families["a universal vertex"] = {n: _with_universal_vertex(g)
+                                      for n, g in families["average degree 5"].items()}
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for family, graphs in families.items():
+            best = dict.fromkeys(graphs, float("inf"))
+            for _ in range(3):
+                for n, g in graphs.items():
+                    start = perf_counter()
+                    verdict = validate_order(K.MNS, g, run_search(K.MNS, g))
+                    best[n] = min(best[n], perf_counter() - start)
+                    assert verdict == (True, None)
+            ratio = best[4000] / best[2000]
+            assert ratio <= 3, \
+                f"{family}: x{ratio:.2f} ({best[2000]:.3f} s -> {best[4000]:.3f} s)"
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_recognizers_double_when_n_doubles():
     """Best of 3 `recognize_interval` and `recognize_unit_interval` times at
     most triple from n = 2e4 to 4e4, on window graphs (accepted) and on a
