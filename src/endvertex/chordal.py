@@ -130,8 +130,9 @@ def clique_tree(g: Graph, peo=None) -> tuple[list[frozenset], list[tuple[int, in
     the clique of the most recently visited such neighbor.  Tree edges
     carry their separator (the visited neighborhood of the clique's
     first vertex).  O(n + m); raises NotChordalError on non-chordal
-    input, detected by the elimination test on the reversed order.  A given
-    `peo` must be `recognize_chordal(g)`'s (a reversed MCS order); it is trusted.
+    input, detected by the elimination test on the reversed order, and
+    DisconnectedGraphError on disconnected input.  A given `peo` must be
+    `recognize_chordal(g)`'s (a reversed MCS order); it is trusted.
     """
     n = g.n
     if n == 0:
@@ -149,6 +150,8 @@ def clique_tree(g: Graph, peo=None) -> tuple[list[frozenset], list[tuple[int, in
         earlier = [w for w in g.adj[v] if visit_index[w] < j]
         card = len(earlier)
         if card <= prev_card:
+            if not earlier:  # nothing earlier to hang the clique on
+                raise DisconnectedGraphError("clique tree requires a connected graph")
             attach = max(earlier, key=visit_index.__getitem__)
             edges.append((len(cliques), clique_of[attach], frozenset(earlier)))
             earlier.append(v)

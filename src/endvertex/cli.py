@@ -12,8 +12,8 @@ the offending line number.  CNF files are DIMACS.
 Every subcommand accepts --json and then emits a single structured
 document with stable field names.  Exit status is 0 for any computed
 answer (including "no"/"invalid"), 1 when a size guard is exceeded or
-a recursive step runs out of interpreter stack (a one-line message, no
-traceback), 2 for malformed input.
+any other unexpected error occurs (a one-line message, no traceback), 2
+for malformed input.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def cmd_recognize(args) -> int:
     hole = None if peo is not None else chordal_hole(g)
     split = recognize_split(g)
     interval = recognize_interval(g, peo) if peo is not None else None
-    # recognize_interval has checked connectivity.
+    # recognize_chordal's MCS has checked connectivity.
     unit = _unit_interval_order(g) if interval is not None else None
     claw_net_free = is_claw_net_free(g)
     doc = {
@@ -448,13 +448,13 @@ def main(argv=None) -> int:
         # `oracle` or from `reduce`'s brute-force SAT, which both take --guard.
         print(f"error: {exc} (raise --guard to proceed)", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("error: input too large for a recursive step (interpreter recursion limit reached)",
-              file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a library fault: one line, no traceback
+        print(f"error: internal error ({type(exc).__name__}: {' '.join(str(exc).split())})",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

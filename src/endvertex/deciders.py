@@ -21,14 +21,14 @@ from typing import Iterable
 
 from .chordal import recognize_chordal
 from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError
-from .graph import Graph, cut_vertices, is_connected, is_inclusion_chain, is_simplicial
+from .graph import Graph, _chain_break, cut_vertices, is_connected, is_simplicial
 from .oracle import is_endvertex_exhaustive
 from .recognize import (
     CliqueOrder,
-    _interval_order,
     _unit_interval_order,
     is_claw_net_free,
     is_split,
+    recognize_interval,
     recognize_split,
     validate_clique_order,
 )
@@ -57,12 +57,13 @@ def decide_mns_chordal(g: Graph, t: int) -> bool:
 def _mns_chordal(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
-    inside = list(set(_outside_component_neighborhoods(g, t)))
-    if is_inclusion_chain(inside):
+    # Equal separators collapse; the first occurrence keeps its place.
+    inside = list(dict.fromkeys(_outside_component_neighborhoods(g, t)))
+    pair = _chain_break(inside)
+    if pair is None:
         return True, None
-    pair = _incomparable_pair(inside)
-    return False, (f"minimal separators {_fmt(pair[0], name_of)} and {_fmt(pair[1], name_of)} "
-                   f"inside N({name_of(t)}) are inclusion-incomparable")
+    a, b = (_fmt(inside[i], name_of) for i in pair)
+    return False, f"minimal separators {a} and {b} inside N({name_of(t)}) are inclusion-incomparable"
 
 
 def _outside_component_neighborhoods(g: Graph, t: int) -> list[frozenset]:
@@ -106,39 +107,23 @@ def _outside_component_neighborhoods(g: Graph, t: int) -> list[frozenset]:
 def decide_mcs_split(g: Graph, t: int) -> bool:
     """t is an MCS end-vertex of a connected split graph iff t is
     simplicial and the neighborhoods of all strictly lower-degree
-    vertices form an inclusion chain.  Counting sort by degree plus a
-    stamped marking array keep this O(n + m), the split check included."""
+    vertices form an inclusion chain.  `is_inclusion_chain`'s walk (a
+    counting sort by size plus stamps) keeps this O(n + m), the split
+    check included."""
     return _decide(g, t, "split", is_split, _mcs_split)
 
 
 def _mcs_split(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
-    n = g.n
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
-    deg_t = len(g.adj[t])
-    buckets: list[list[int]] = [[] for _ in range(deg_t)]
-    for v in range(n):
-        d = len(g.adj[v])
-        if d < deg_t:
-            buckets[d].append(v)
-    stamp = [0] * n
-    i = 0
-    prev = -1
-    for d in range(deg_t - 1, -1, -1):
-        for v in buckets[d]:
-            i += 1
-            if i == 1:
-                for w in g.adj[v]:
-                    stamp[w] = 1
-            else:
-                for w in g.adj[v]:
-                    if stamp[w] != i - 1:
-                        return False, (f"neighborhoods of vertices {name_of(prev)} and "
-                                       f"{name_of(v)} are inclusion-incomparable")
-                for w in g.adj[v]:
-                    stamp[w] = i
-            prev = v
-    return True, None
+    adj = g.adj
+    deg_t = len(adj[t])
+    lower = [v for v in range(g.n) if len(adj[v]) < deg_t]
+    pair = _chain_break([adj[v] for v in lower])
+    if pair is None:
+        return True, None
+    u, v = (name_of(lower[i]) for i in pair)
+    return False, f"neighborhoods of vertices {u} and {v} are inclusion-incomparable"
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +133,31 @@ def _mcs_split(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
 def decide_unit_interval(g: Graph, t: int) -> bool:
     """End-vertex status of t on a connected unit interval graph, valid
     simultaneously for MNS, MCS and LDFS: t is simplicial and G - N[t]
-    is connected (or empty).  O(n + m) after the class check, whose
-    three LBFS sweeps cost O(n + m log Δ)."""
+    is connected (or empty).  O(n) after the class check, whose three
+    LBFS sweeps cost O(n + m log Δ)."""
     return _decide(g, t, "unit interval", _unit_interval_order, _unit_interval)
 
 
-def _unit_interval(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
-    if not is_simplicial(g, t):
+def _unit_interval(g: Graph, t: int, order: list[int], name_of=str) -> tuple[bool, str | None]:
+    """`order` is a unit interval order of g: every closed neighbourhood
+    is a run of it, so u < v < w with uw an edge gives uv and vw.  N[t]
+    is the run order[lo..hi] around t.  Its members lie between its ends,
+    so t is simplicial iff the ends are adjacent.  No edge jumps over t,
+    so G - N[t] falls apart iff the run touches neither end of the order;
+    each side that is left is a run of consecutive, adjacent vertices
+    (g is connected), so it is connected.  O(n) for the index of t."""
+    adj = g.adj
+    nbrs = adj[t]
+    lo = hi = order.index(t)
+    while lo and order[lo - 1] in nbrs:
+        lo -= 1
+    while hi + 1 < len(order) and order[hi + 1] in nbrs:
+        hi += 1
+    if lo < hi and order[hi] not in adj[order[lo]]:
         return False, f"vertex {name_of(t)} is not simplicial"
-    if _connected_outside_closed_neighborhood(g, t):
-        return True, None
-    return False, f"G - N[{name_of(t)}] is disconnected"
-
-
-def _connected_outside_closed_neighborhood(g: Graph, t: int) -> bool:
-    # An empty remainder counts as connected.
-    return len(_outside_component_neighborhoods(g, t)) <= 1
+    if lo and hi + 1 < len(order):
+        return False, f"G - N[{name_of(t)}] is disconnected"
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +181,7 @@ def decide_dfs_interval(g: Graph, t: int) -> bool:
     """On a connected interval graph, t is a DFS end-vertex iff the
     subgraph induced by N(t), taken as one graph, has a hamiltonian
     path.  Recognizes the class once (near-linear), then O(n + m)."""
-    return _decide(g, t, "interval", _interval_order, _dfs_interval)
+    return _decide(g, t, "interval", recognize_interval, _dfs_interval)
 
 
 def _dfs_interval(g: Graph, t: int, order: CliqueOrder, name_of=str) -> tuple[bool, str | None]:
@@ -291,12 +285,12 @@ class DispatchResult:
 # Class -> (recognizer given g and the presumed class's certificate,
 # returning its own or None; the class it presumes).  The lambdas look each
 # recognizer up when called, so a recognizer patched here is the one that
-# runs.  Dispatch has checked connectivity, so the interval classes call
-# the recognizers' bodies, which do not check it again.
+# runs.  Dispatch has checked connectivity, so unit interval calls the
+# recognizer's body, which does not check it again.
 _RECOGNIZERS = {
     "chordal": (lambda g, _: recognize_chordal(g), None),
     "split": (lambda g, _: recognize_split(g), "chordal"),
-    "interval": (lambda g, peo: _interval_order(g, peo), "chordal"),
+    "interval": (lambda g, peo: recognize_interval(g, peo), "chordal"),
     "unit-interval": (lambda g, _: _unit_interval_order(g), "interval"),
     "claw-net-free": (lambda g, _: is_claw_net_free(g) or None, None),
 }
@@ -409,18 +403,6 @@ def _decide(g: Graph, t: int, cls: str, recognize, characterization) -> bool:
 def _check_target(g: Graph, t: int) -> None:
     if not 0 <= t < g.n:
         raise ValueError(f"vertex {t} out of range")
-
-
-def _incomparable_pair(sets) -> tuple[frozenset, frozenset]:
-    """The first incomparable pair in (size, members) order, so that a
-    NO answer's detail does not depend on set iteration order."""
-    ordered = sorted(sets, key=lambda s: (len(s), sorted(s)))
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            a, b = ordered[i], ordered[j]
-            if not (a <= b or b <= a):
-                return a, b
-    raise AssertionError("no incomparable pair in a non-chain family")
 
 
 def _fmt(s: frozenset, name_of=str) -> str:

@@ -219,32 +219,35 @@ def complement(g: Graph) -> Graph:
 def is_inclusion_chain(sets: Sequence[Collection[int]]) -> bool:
     """True iff the given sets are totally ordered by inclusion.
 
-    Counting sort by cardinality (descending), then a single stamped-array
+    Counting sort by cardinality (descending), then a single stamped
     sweep verifying each set against its predecessor; time linear in the
     total size of the input family.
     """
-    k = len(sets)
-    if k <= 1:
-        return True
-    maxlen = 0
-    for s in sets:
-        if len(s) > maxlen:
-            maxlen = len(s)
-    buckets: list[list[Collection[int]]] = [[] for _ in range(maxlen + 1)]
-    for s in sets:
-        buckets[len(s)].append(s)
+    return _chain_break(sets) is None
+
+
+def _chain_break(sets: Sequence[Collection[int]]) -> tuple[int, int] | None:
+    """`is_inclusion_chain`'s walk: None when the sets form a chain,
+    otherwise the indices (i, j) of the first consecutive pair of the walk
+    that breaks it.  The walk takes the sets by falling size, equal sizes
+    in input order, so sets[j] is no larger than sets[i] and not inside
+    it: the two are inclusion-incomparable.  Each set is iterated at most
+    once, so the time is linear in the total size of the family."""
+    buckets: list[list[int]] = [[] for _ in range(max(map(len, sets), default=0) + 1)]
+    for i, s in enumerate(sets):
+        buckets[len(s)].append(i)
+    # stamp[x] = p + 1 when the set at step p of the walk holds x, so at
+    # step p a member of the previous set reads p, a repeated one p + 1.
     stamp: dict[int, int] = {}
-    i = 0
-    for size in range(maxlen, -1, -1):
-        for s in buckets[size]:
-            i += 1
-            if i == 1:
-                for x in s:
-                    stamp[x] = 1
-                continue
-            for x in s:
-                if stamp.get(x) != i - 1:
-                    return False
-            for x in s:
-                stamp[x] = i
-    return True
+    get = stamp.get
+    step = 0
+    prev = -1
+    for bucket in reversed(buckets):
+        for i in bucket:
+            for x in sets[i]:
+                if get(x, 0) < step:
+                    return prev, i
+                stamp[x] = step + 1
+            step += 1
+            prev = i
+    return None

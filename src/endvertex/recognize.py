@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chordal import _position_map, clique_tree, maximal_cliques_chordal
-from .errors import NotChordalError
+from .errors import DisconnectedGraphError, NotChordalError
 from .graph import Graph, is_connected
 from .search import _lbfs_picks
 
@@ -170,18 +170,15 @@ def recognize_interval(g: Graph, peo: list[int] | None = None) -> CliqueOrder | 
     Near-linear: O(n + m log Δ) for the sweep; the refinement handles
     each vertex once as a pivot and moves a clique at most once per
     vertex it holds, scanning its clique-tree edges each time.
+    Connectivity costs no pass of its own: `clique_tree` raises on
+    disconnected input, with or without a PEO.
     """
-    if not is_connected(g):
-        raise ValueError("interval recognition needs a connected graph")
-    return _interval_order(g, peo)
-
-
-def _interval_order(g: Graph, peo: list[int] | None = None) -> CliqueOrder | None:
-    """`recognize_interval` on a graph already known to be connected."""
     try:
         cliques, tree = clique_tree(g, peo)
     except NotChordalError:
         return None
+    except DisconnectedGraphError:
+        raise ValueError("interval recognition needs a connected graph") from None
     order = _clique_path(g.n, cliques, tree, _lbfs(g, range(g.n)))
     if order is None or not _consecutive_ok(g.n, order):
         return None

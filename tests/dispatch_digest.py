@@ -65,7 +65,7 @@ def memoized(recognizer):
 
 
 def main() -> None:
-    deciders._interval_order = memoized(deciders._interval_order)
+    deciders.recognize_interval = memoized(deciders.recognize_interval)
     deciders._unit_interval_order = memoized(deciders._unit_interval_order)
     shas = {name: hashlib.sha256() for name in ("verdicts", "witnesses", "methods")}
     methods: Counter = Counter()

@@ -50,7 +50,6 @@ from endvertex import (
     validate_split_partition,
     witness_order_mcs,
 )
-from endvertex.deciders import _connected_outside_closed_neighborhood
 from endvertex.graph import Graph
 from reference import enumerate_clique_orders, is_weakly_chordal_desk
 
@@ -113,7 +112,7 @@ def test_criterion_04_interval_fixtures():
         t = nml["t"]
         ok, witness = is_endvertex_exhaustive(left, K.MCS, t)
         assert ok and validate_order(K.MCS, left, witness) == (True, None)
-        assert not _connected_outside_closed_neighborhood(left, t)
+        assert len(fx.brute_components_without(left, left.closed_neighborhood(t))) > 1
 
         right, nmr = fx.interval_pair_right()
         rt = nmr["t"]

@@ -249,6 +249,22 @@ def test_cli_recursion_error_is_exit_1_without_traceback(tmp_path, capsys, monke
     assert "Traceback" not in captured.err
 
 
+def test_cli_unexpected_error_is_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
+    """Any other unexpected exception, here a failed assertion inside a
+    patched recognizer, is also one `error:` line with exit status 1."""
+    def broken(g, peo=None):
+        raise AssertionError("clique path failed its own check\nsecond line")
+
+    monkeypatch.setattr(endvertex.deciders, "recognize_interval", broken)
+    assert main(["endvertex", _window_file(tmp_path, 20), "--class", "interval",
+                 "--kind", "dfs", "--target", "19", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "AssertionError" in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_cli_mcs_and_ldfs_on_a_long_window_exit_0(tmp_path, capsys):
     """Interval and unit interval recognition run LBFS sweeps, so auto and
     unit-interval-hinted MCS and LDFS answer on 1500 vertices."""

@@ -443,3 +443,79 @@ def test_mns_chordal_detail_is_deterministic():
     res = dispatch_endvertex(g, 0, K.MNS, class_hint="chordal")
     assert res.verdict is Verdict.NO
     assert res.detail == "minimal separators {1} and {2} inside N(0) are inclusion-incomparable"
+
+
+def test_mns_chordal_no_details_name_incomparable_separators():
+    """Every chordal MNS NO past the simplicial test names two sets N(C),
+    C a component of G - N[t], neither inside the other."""
+    rng = random.Random(6007)
+    named = 0
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        g = fx.rand_chordal(rng, n, q=rng.choice((0.2, 0.5, 0.8)))
+        for t in range(n):
+            res = dispatch_endvertex(g, t, K.MNS, class_hint="chordal")
+            if res.verdict is Verdict.YES or res.detail.endswith("is not simplicial"):
+                continue
+            a, b = (frozenset(map(int, part.strip("{}").split(",")))
+                    for part in res.detail.split(" inside ")[0].split(" ", 2)[2].split(" and "))
+            closed = g.adj[t] | {t}
+            separators = {frozenset(w for v in comp for w in g.adj[v]) & g.adj[t]
+                          for comp in fx.brute_components_without(g, closed)}
+            assert a in separators and b in separators and not (a <= b or b <= a), (n, t)
+            named += 1
+    assert named > 100
+
+
+def test_unit_interval_characterization_reads_the_order():
+    """On random unit interval graphs (n <= 40, vertices shuffled, twin
+    blocks frequent), the characterization read off a unit interval order
+    or its reverse agrees with a brute-force simplicial test and a count of
+    the components of G - N[t], detail included."""
+    rng = random.Random(6008)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        base = fx.rand_unit_interval(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in base.edges()])
+        order = recognize_unit_interval(g)
+        for t in range(n):
+            if not fx.brute_is_simplicial(g, t):
+                want = (False, f"vertex {t} is not simplicial")
+            elif len(fx.brute_components_without(g, g.adj[t] | {t})) > 1:
+                want = (False, f"G - N[{t}] is disconnected")
+            else:
+                want = (True, None)
+            for o in (order, order[::-1]):
+                assert deciders._unit_interval(g, t, o) == want, (n, t, o)
+
+
+def test_interval_hinted_dfs_checks_connectivity_and_runs_mcs_once(monkeypatch):
+    """An interval-hinted DFS query, through dispatch and through
+    `decide_dfs_interval`, runs one connectivity check and one maximum
+    cardinality search: interval recognition leaves connectivity to the
+    search inside `clique_tree`."""
+    import endvertex.chordal as chordal
+    import endvertex.graph as graph
+    import endvertex.recognize as recognize
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    connected = counting("is_connected", graph.is_connected)
+    for module in (graph, deciders, recognize):
+        monkeypatch.setattr(module, "is_connected", connected)
+    monkeypatch.setattr(chordal, "mcs_order", counting("mcs_order", chordal.mcs_order))
+    g = fx.rand_interval(random.Random(6009), 30)
+    t = max(range(g.n), key=lambda v: len(g.adj[v]))
+    for query in (lambda: dispatch_endvertex(g, t, K.DFS, class_hint="interval").verdict,
+                  lambda: decide_dfs_interval(g, t)):
+        calls.clear()
+        query()
+        assert sorted(calls) == ["is_connected", "mcs_order"]

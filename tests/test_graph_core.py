@@ -1,5 +1,6 @@
 import random
 import sys
+from collections.abc import Set
 
 import pytest
 
@@ -14,6 +15,7 @@ from endvertex import (
     is_inclusion_chain,
     is_simplicial,
 )
+from endvertex.graph import _chain_break
 
 
 def test_graph_invariants_enforced():
@@ -139,11 +141,59 @@ def test_inclusion_chain_examples():
     assert is_inclusion_chain([])
     assert is_inclusion_chain([set()])
     assert is_inclusion_chain([{5}, set(), {5, 9}])
+    # A member repeated inside one collection does not break the walk.
+    assert is_inclusion_chain([[1, 1]])
+    assert is_inclusion_chain([[2, 2], [1, 2, 3]])
 
 
 def test_inclusion_chain_matches_bruteforce():
+    """The walk's break is None exactly on chains; otherwise it is a pair
+    of indices whose second set is no larger than the first and not
+    inside it."""
     rng = random.Random(1005)
     for _ in range(300):
         fam = [frozenset(rng.sample(range(8), rng.randint(0, 6)))
                for _ in range(rng.randint(0, 5))]
         assert is_inclusion_chain(fam) == fx.brute_inclusion_chain(fam)
+        pair = _chain_break(fam)
+        assert (pair is None) == fx.brute_inclusion_chain(fam)
+        if pair is not None:
+            a, b = (fam[i] for i in pair)
+            assert len(b) <= len(a) and not b <= a
+
+
+class _CountingSet(Set):
+    """A set that counts the members it hands out, through `__iter__` and
+    through the mixin comparisons that are built on it."""
+
+    yielded = 0
+
+    def __init__(self, members):
+        self._members = frozenset(members)
+
+    def __contains__(self, x):
+        return x in self._members
+
+    def __len__(self):
+        return len(self._members)
+
+    def __iter__(self):
+        for x in self._members:
+            _CountingSet.yielded += 1
+            yield x
+
+
+def test_chain_break_reads_each_member_once():
+    """A chain of k - 2 nested sets with two incomparable sets below it or
+    above it; above it is the shape that made an all-pairs search, smallest
+    sets first, cubic.  Either way the walk reads at most the total size of
+    the family and names the two."""
+    k = 300
+    chain = [range(size) for size in range(2, k)]
+    for pair_sets in ([{0}, {1}], [range(k), [*range(k - 1), k]]):
+        fam = [_CountingSet(members) for members in chain + pair_sets]
+        random.Random(1007).shuffle(fam)
+        _CountingSet.yielded = 0
+        pair = _chain_break(fam)
+        assert _CountingSet.yielded <= sum(map(len, fam))
+        assert sorted(sorted(fam[i]) for i in pair) == sorted(map(sorted, pair_sets))

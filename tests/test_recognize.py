@@ -79,6 +79,11 @@ def test_recognize_interval_examples():
     # The net is chordal but its three pendants form an asteroidal triple.
     assert recognize_chordal(fx.net()) is not None
     assert recognize_interval(fx.net()) is None
+    # Disconnected input is refused alike with and without a held PEO.
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for peo in (None, [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="^interval recognition needs a connected graph$"):
+            recognize_interval(two_edges, peo)
 
 
 def test_interval_certificates_on_random_instances():
