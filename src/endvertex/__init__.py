@@ -6,7 +6,6 @@ from .chordal import (
     clique_tree,
     maximal_cliques_chordal,
     mcs_order,
-    peo_check,
     peo_violation,
     recognize_chordal,
 )
@@ -41,7 +40,6 @@ from .oracle import (
     endvertex_set_exhaustive,
     is_endvertex_exhaustive,
     randomized_endvertex_probe,
-    terminal_orders_exhaustive,
 )
 from .recognize import (
     CliqueOrder,

@@ -82,16 +82,6 @@ def _position_map(order, n: int) -> list[int]:
     return pos
 
 
-def peo_check(g: Graph, order) -> bool:
-    """True iff `order` is a perfect elimination ordering of g.
-
-    Uses the first-later-neighbor test: a vertex only has to be checked
-    against its earliest later neighbor u, which must absorb the rest of
-    the later neighborhood.  O(n + m).
-    """
-    return peo_violation(g, order) is None
-
-
 def peo_violation(g: Graph, order) -> tuple[int, int, int] | None:
     """None if `order` is a PEO; otherwise a witness triple (v, u, x).
 

@@ -23,8 +23,8 @@ import gc
 import json
 import sys
 
-from .chordal import chordal_hole, recognize_chordal
-from .deciders import Verdict, dispatch_endvertex
+from .chordal import chordal_hole
+from .deciders import _HINTS, Verdict, _class_table, dispatch_endvertex
 from .errors import GuardExceededError
 from .graph import Graph
 from .oracle import (
@@ -32,12 +32,6 @@ from .oracle import (
     DEFAULT_GUARD_SET_STATE,
     endvertex_set_exhaustive,
     is_endvertex_exhaustive,
-)
-from .recognize import (
-    _unit_interval_order,
-    is_claw_net_free,
-    recognize_interval,
-    recognize_split,
 )
 from .reduction import (
     DEFAULT_SAT_GUARD,
@@ -326,13 +320,12 @@ def cmd_reduce(args) -> int:
 def cmd_recognize(args) -> int:
     g, names = load_graph(args.file)
     namer = _Namer(names)
-    peo = recognize_chordal(g)
+    holds, _ = _class_table(g)
+    # Chordal first: its MCS refuses a disconnected graph.  Unit interval
+    # before claw-net-free, which it implies.
+    peo, split, interval, unit, claw_net_free = (
+        holds(cls) for cls in ("chordal", "split", "interval", "unit-interval", "claw-net-free"))
     hole = None if peo is not None else chordal_hole(g)
-    split = recognize_split(g)
-    interval = recognize_interval(g, peo) if peo is not None else None
-    # recognize_chordal's MCS has checked connectivity.
-    unit = _unit_interval_order(g) if interval is not None else None
-    claw_net_free = is_claw_net_free(g)
     doc = {
         "command": "recognize",
         "chordal": namer.seq(peo) if peo is not None else None,
@@ -343,7 +336,7 @@ def cmd_recognize(args) -> int:
         "interval": ([sorted(namer.seq(c)) for c in interval.cliques]
                      if interval is not None else None),
         "unit_interval": namer.seq(unit) if unit is not None else None,
-        "claw_net_free": claw_net_free,
+        "claw_net_free": claw_net_free is not None,
     }
     lines = []
     if peo is not None:
@@ -364,7 +357,7 @@ def cmd_recognize(args) -> int:
         lines.append("unit interval: yes (order " + ",".join(namer.seq(unit)) + ")")
     else:
         lines.append("unit interval: no")
-    lines.append(f"claw/net free: {'yes' if claw_net_free else 'no'}")
+    lines.append(f"claw/net free: {'yes' if claw_net_free is not None else 'no'}")
     _emit(args, doc, lines)
     return 0
 
@@ -401,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--class", dest="graph_class", default="auto",
-                   choices=("auto", "split", "chordal", "interval", "unit-interval"))
+                   choices=_HINTS)
     p.add_argument("--oracle-guard", type=int, default=None,
                    help="largest graph the exhaustive fallback may enumerate (default: "
                         f"{DEFAULT_GUARD_SET_STATE} for MCS/MNS, {DEFAULT_GUARD_PREFIX} otherwise)")

@@ -285,8 +285,8 @@ class DispatchResult:
 # Class -> (recognizer given g and the presumed class's certificate,
 # returning its own or None; the class it presumes).  The lambdas look each
 # recognizer up when called, so a recognizer patched here is the one that
-# runs.  Dispatch has checked connectivity, so unit interval calls the
-# recognizer's body, which does not check it again.
+# runs.  Unit interval presumes chordal (through interval), whose MCS refuses
+# a disconnected graph, so it runs the recognizer's body without that check.
 _RECOGNIZERS = {
     "chordal": (lambda g, _: recognize_chordal(g), None),
     "split": (lambda g, _: recognize_split(g), "chordal"),
@@ -294,7 +294,7 @@ _RECOGNIZERS = {
     "unit-interval": (lambda g, _: _unit_interval_order(g), "interval"),
     "claw-net-free": (lambda g, _: is_claw_net_free(g) or None, None),
 }
-# Class hint -> the classes it implies.
+# Class -> the classes it implies; its keys are the class hints.
 _IMPLIES = {
     "split": ("chordal",),
     "chordal": (),
@@ -314,6 +314,36 @@ _ROUTES = {
 }
 
 
+def _class_table(g: Graph, hint: str = "auto"):
+    """`(holds, certs)`: `holds(cls)` is g's certificate for `cls` (True
+    when implied) or None when g is not in it; `certs` caches the answers.
+    A class is recognized when first asked for, at most once, together
+    with the class it presumes, and not at all when an established class
+    implies it.  A class hint is validated up front (ClassMismatchError
+    when it fails); then it and the classes it implies are the only ones
+    that hold.  Test with `is not None`: the empty graph's are falsy."""
+    if hint not in _HINTS:
+        raise ValueError(f"unknown class hint {hint!r} (expected one of {_HINTS})")
+    certs: dict[str, object] = {}
+    if hint != "auto":
+        cert = _RECOGNIZERS[hint][0](g, None)
+        if cert is None:
+            raise ClassMismatchError(f"class hint {hint!r} failed certificate validation")
+        certs = {**dict.fromkeys(_RECOGNIZERS), **dict.fromkeys(_IMPLIES[hint], True), hint: cert}
+
+    def holds(cls: str) -> object:
+        if cls not in certs:
+            if any(cls in _IMPLIES.get(c, ()) for c, cert in certs.items() if cert is not None):
+                certs[cls] = True
+            else:
+                recognizer, presumed = _RECOGNIZERS[cls]
+                prior = holds(presumed) if presumed else None
+                certs[cls] = recognizer(g, prior) if presumed is None or prior is not None else None
+        return certs[cls]
+
+    return holds, certs
+
+
 def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | None = None,
                        oracle_guard: int | None = None, name_of=str) -> DispatchResult:
     """Route an end-vertex query to the strongest applicable decider.
@@ -326,38 +356,15 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     `oracle_guard` (None: the oracle's default for the kind), then to
     UNKNOWN with the reason.
 
-    A class is recognized the first time a route asks for it, and at
-    most once, together with the class it presumes.  A class hint is
-    validated up front (a failed certificate is a ClassMismatchError);
-    then the hint and the classes it implies are the only classes that
-    hold.  `classes` of the result lists the classes established while
+    Classes come from `_class_table`, which validates `class_hint`.
+    `classes` of the result lists the classes established while
     answering.  Connectivity is checked once, here; the characterizations
     of `_ROUTES` trust it and the class instead of checking again.
     """
     _check_target(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError("end-vertex dispatch requires a connected graph")
-    hint = class_hint or "auto"
-    if hint not in _HINTS:
-        raise ValueError(f"unknown class hint {hint!r} (expected one of {_HINTS})")
-
-    # Class -> its certificate (True when implied by the hint), or None
-    # when the class does not hold.
-    certs: dict[str, object] = {}
-    if hint != "auto":
-        cert = _RECOGNIZERS[hint][0](g, None)
-        if cert is None:
-            raise ClassMismatchError(f"class hint {hint!r} failed certificate validation")
-        certs = dict.fromkeys(_RECOGNIZERS)
-        certs.update(dict.fromkeys(_IMPLIES[hint], True))
-        certs[hint] = cert
-
-    def holds(cls: str) -> object:
-        if cls not in certs:
-            recognizer, presumed = _RECOGNIZERS[cls]
-            prior = holds(presumed) if presumed else None
-            certs[cls] = recognizer(g, prior) if presumed is None or prior else None
-        return certs[cls]
+    holds, certs = _class_table(g, class_hint or "auto")
 
     def result(verdict: Verdict, method: str, detail: str | None = None,
                witness: list[int] | None = None) -> DispatchResult:
@@ -374,11 +381,11 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
 
     for cls, method, characterization in _ROUTES.get(kind, ()):
         cert = holds(cls)
-        if cert:
+        if cert is not None:
             ok, why = characterization(g, t, cert, name_of)
             return result(Verdict.YES if ok else Verdict.NO, method, why)
-    if kind is SearchKind.MCS and holds("interval"):
-        if _mcs_interval_verdict(g, certs["interval"], t) is Verdict.YES:
+    if kind is SearchKind.MCS and (order := holds("interval")) is not None:
+        if _mcs_interval_verdict(g, order, t) is Verdict.YES:
             return result(Verdict.YES, "interval MCS sufficient condition")
         return oracle_or_unknown(
             "MCS on general interval graphs has no full characterization in scope",

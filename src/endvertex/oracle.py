@@ -26,7 +26,6 @@ for instances beyond any enumeration guard.
 from __future__ import annotations
 
 import random
-from itertools import islice
 from typing import Iterator
 
 from .errors import DisconnectedGraphError, GuardExceededError
@@ -128,16 +127,6 @@ def is_endvertex_exhaustive(g: Graph, kind: SearchKind, t: int, start: int | Non
     _check_entry(g, kind, start, guard, t)
     witness = next(_orders(g, kind, start, t), None)
     return (witness is not None), witness
-
-
-def terminal_orders_exhaustive(g: Graph, kind: SearchKind, t: int, limit: int,
-                               start: int | None = None,
-                               guard: int | None = None) -> Iterator[list[int]]:
-    """Up to `limit` distinct full kind-orders ending at t (MCS/MNS only)."""
-    if kind not in SET_STATE_KINDS:
-        raise ValueError("terminal-order enumeration is provided for MCS and MNS only")
-    _check_entry(g, kind, start, guard, t)
-    return islice(_orders(g, kind, start, t), max(limit, 0))
 
 
 def randomized_endvertex_probe(g: Graph, kind: SearchKind, t: int, trials: int,

@@ -113,6 +113,13 @@ def window(n: int, w: int = 3) -> Graph:
         n, ((i, j) for i in range(n) for j in range(i + 1, min(i + w + 1, n))))
 
 
+def two_cliques(k: int) -> Graph:
+    """Two k-cliques sharing vertex k - 1: unit interval, with that vertex
+    of degree 2k - 2, where the (claw, net) check does cubic work."""
+    return Graph.from_edges(2 * k - 1, ((u, v) for lo in (0, k - 1)
+                                        for u in range(lo, lo + k) for v in range(u + 1, lo + k)))
+
+
 # ---------------------------------------------------------------------------
 # Random instance generators (all connected unless noted)
 

@@ -62,10 +62,10 @@ from endvertex import (  # noqa: E402
     is_endvertex_exhaustive,
     randomized_endvertex_probe,
     run_search,
-    terminal_orders_exhaustive,
     validate_order,
     witness_order_mcs,
 )
+from reference import terminal_orders_exhaustive  # noqa: E402
 
 RUNNING_INSTANCE = CnfFormula(4, (
     ((1, False), (2, True), (3, False)),

@@ -12,12 +12,14 @@ the vertex-triple (claw, net) test, and the induced-path hole search with
 the weak chordality check built on it; they serve desk-scale graphs only.
 
 `minimal_separators_chordal` reads the minimal separators of a chordal
-graph off its clique tree; no library path needs them.
+graph off its clique tree, and `terminal_orders_exhaustive` lists MCS or
+MNS orders ending at a target off the oracle's walker; no library path
+needs either.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 from endvertex import (
@@ -37,6 +39,7 @@ from endvertex import (
 )
 from endvertex.chordal import _position_map
 from endvertex.graph import is_connected
+from endvertex.oracle import SET_STATE_KINDS, _check_entry, _orders
 from endvertex import reduction
 
 
@@ -304,3 +307,13 @@ def minimal_separators_chordal(g: Graph) -> list[frozenset]:
     _, edges = clique_tree(g)
     seps = {sep for _, _, sep in edges if sep}
     return sorted(seps, key=lambda s: (len(s), sorted(s)))
+
+
+def terminal_orders_exhaustive(g: Graph, kind: SearchKind, t: int, limit: int,
+                               start: int | None = None,
+                               guard: int | None = None) -> Iterator[list[int]]:
+    """Up to `limit` distinct full kind-orders ending at t (MCS/MNS only)."""
+    if kind not in SET_STATE_KINDS:
+        raise ValueError("terminal-order enumeration is provided for MCS and MNS only")
+    _check_entry(g, kind, start, guard, t)
+    return islice(_orders(g, kind, start, t), max(limit, 0))

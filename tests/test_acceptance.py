@@ -44,14 +44,13 @@ from endvertex import (
     recognize_split,
     run_search,
     sat_bruteforce,
-    terminal_orders_exhaustive,
     unit_interval_order_ending_at,
     validate_order,
     validate_split_partition,
     witness_order_mcs,
 )
 from endvertex.graph import Graph
-from reference import enumerate_clique_orders, is_weakly_chordal_desk
+from reference import enumerate_clique_orders, is_weakly_chordal_desk, terminal_orders_exhaustive
 
 K = SearchKind
 

@@ -9,7 +9,7 @@ from endvertex import (
     clique_tree,
     maximal_cliques_chordal,
     mcs_order,
-    peo_check,
+    peo_violation,
     recognize_chordal,
     validate_order,
 )
@@ -29,12 +29,12 @@ def test_mcs_order_is_valid_mcs():
 
 def test_peo_check_examples():
     k4 = fx.clique(4)
-    assert peo_check(k4, [0, 1, 2, 3])
+    assert peo_violation(k4, [0, 1, 2, 3]) is None
     c4 = fx.cycle(4)
-    assert not peo_check(c4, [0, 1, 2, 3])
-    assert not any(peo_check(c4, list(p)) for p in _all_orders(4))
+    assert peo_violation(c4, [0, 1, 2, 3]) is not None
+    assert all(peo_violation(c4, list(p)) is not None for p in _all_orders(4))
     p4 = fx.path(4)
-    assert peo_check(p4, [0, 1, 2, 3])
+    assert peo_violation(p4, [0, 1, 2, 3]) is None
 
 
 def _all_orders(n):
@@ -47,7 +47,7 @@ def test_reversed_mcs_is_peo_on_chordal():
     for _ in range(100):
         g = fx.rand_chordal(rng, rng.randint(1, 10))
         order = mcs_order(g, start=rng.randrange(g.n))
-        assert peo_check(g, list(reversed(order)))
+        assert peo_violation(g, list(reversed(order))) is None
 
 
 def test_recognize_chordal():
@@ -56,7 +56,7 @@ def test_recognize_chordal():
     assert recognize_chordal(tree) is not None
     g, _ = fx.interval_pair_right()
     peo = recognize_chordal(g)
-    assert peo is not None and peo_check(g, peo)
+    assert peo is not None and peo_violation(g, peo) is None
 
 
 def test_recognize_chordal_matches_bruteforce():
@@ -66,7 +66,7 @@ def test_recognize_chordal_matches_bruteforce():
         got = recognize_chordal(g)
         assert (got is not None) == fx.brute_is_chordal(g)
         if got is not None:
-            assert peo_check(g, got)
+            assert peo_violation(g, got) is None
         else:
             hole = chordal_hole(g)
             assert hole is not None and is_chordless_cycle(g, hole)

@@ -203,6 +203,97 @@ def test_cli_recognize_runs_mcs_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("text, lines, doc", [
+    ("0 0\n",
+     ["chordal: yes (PEO )", "split: yes (C={} I={})", "interval: yes (clique order )",
+      "unit interval: yes (order )", "claw/net free: yes"],
+     {"command": "recognize", "chordal": [], "chordless_cycle": None,
+      "split": {"clique": [], "independent": []}, "interval": [], "unit_interval": [],
+      "claw_net_free": True}),
+    ("1 0\n",
+     ["chordal: yes (PEO 0)", "split: yes (C={0} I={})", "interval: yes (clique order 0)",
+      "unit interval: yes (order 0)", "claw/net free: yes"],
+     {"command": "recognize", "chordal": ["0"], "chordless_cycle": None,
+      "split": {"clique": ["0"], "independent": []}, "interval": [["0"]],
+      "unit_interval": ["0"], "claw_net_free": True}),
+    (graph_to_text(fx.cycle(6)),
+     ["chordal: no (hole 1,2,3,4,5,0)", "split: no", "interval: no", "unit interval: no",
+      "claw/net free: yes"],
+     {"command": "recognize", "chordal": None, "chordless_cycle": ["1", "2", "3", "4", "5", "0"],
+      "split": None, "interval": None, "unit_interval": None, "claw_net_free": True}),
+    (FIG5,
+     ["chordal: yes (PEO 7,v,2,3,4,6,1)", "split: yes (C={1,2,3,4} I={6,7,v})",
+      "interval: no", "unit interval: no", "claw/net free: no"],
+     {"command": "recognize", "chordal": ["7", "v", "2", "3", "4", "6", "1"],
+      "chordless_cycle": None,
+      "split": {"clique": ["1", "2", "3", "4"], "independent": ["6", "7", "v"]},
+      "interval": None, "unit_interval": None, "claw_net_free": False}),
+], ids=["empty", "one vertex", "C6", "names"])
+def test_cli_recognize_output_is_pinned(tmp_path, capsys, text, lines, doc):
+    """Byte for byte, text and JSON.  The empty graph is in every class,
+    with empty certificates."""
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    assert main(["recognize", str(path)]) == 0
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+    assert main(["recognize", str(path), "--json"]) == 0
+    assert capsys.readouterr() == (json.dumps(doc, indent=2) + "\n", "")
+
+
+def test_cli_recognize_refuses_a_disconnected_graph(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text("4 2\n0 1\n2 3\n")
+    for flags in ([], ["--json"]):
+        assert main(["recognize", str(path), *flags]) == 2
+        assert capsys.readouterr() == ("", "error: MCS requires a connected graph\n")
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the calls of the recognizer `name` that the class table runs."""
+    calls = []
+    original = getattr(endvertex.deciders, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(endvertex.deciders, name, counted)
+    return calls
+
+
+def _recognize_json(tmp_path, capsys, g: Graph) -> dict:
+    path = tmp_path / "g.graph"
+    path.write_text(graph_to_text(g))
+    assert main(["recognize", str(path), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_cli_recognize_skips_the_claw_net_check_on_unit_interval_graphs(tmp_path, capsys,
+                                                                       monkeypatch):
+    """Unit interval implies (claw, net)-free, so two 500-cliques sharing
+    a vertex never reach the check, which is cubic at that vertex."""
+    calls = _count_calls(monkeypatch, "is_claw_net_free")
+    doc = _recognize_json(tmp_path, capsys, fx.two_cliques(500))
+    assert doc["unit_interval"] is not None and doc["claw_net_free"] is True
+    assert calls == []
+
+
+@pytest.mark.parametrize("g", [fx.star(6), fx.claw(), fx.net()], ids=["star", "claw", "net"])
+def test_cli_recognize_runs_the_claw_net_check_once_off_unit_interval(tmp_path, capsys,
+                                                                      monkeypatch, g):
+    calls = _count_calls(monkeypatch, "is_claw_net_free")
+    doc = _recognize_json(tmp_path, capsys, g)
+    assert doc["unit_interval"] is None and doc["claw_net_free"] is False
+    assert len(calls) == 1
+
+
+def test_cli_recognize_checks_split_only_on_chordal_graphs(tmp_path, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "recognize_split")
+    doc = _recognize_json(tmp_path, capsys, fx.cycle(6))
+    assert doc["chordal"] is None and doc["split"] is None
+    assert calls == []
+
+
 def test_cli_reduce_round_trip(tmp_path, capsys):
     cnf = tmp_path / "fig2.cnf"
     cnf.write_text("p cnf 4 3\n-1 2 -3 0\n1 -3 4 0\n-1 -3 -4 0\n")

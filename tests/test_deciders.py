@@ -369,6 +369,35 @@ def test_auto_dfs_answers_on_a_large_clique():
     assert res.verdict is Verdict.YES and res.method == "cut-vertex characterization"
 
 
+def test_every_class_a_class_implies_passes_its_own_recognizer():
+    """The class table skips a recognizer when an established class
+    implies its class, so each `_IMPLIES` entry must hold: over the six
+    random families, windows and two cliques sharing a vertex, an implied
+    class passes its own recognizer, and the table answers as the
+    recognizers do."""
+    rng = random.Random(1616)
+    families = (fx.rand_connected_graph, fx.rand_chordal, fx.rand_split, fx.rand_interval,
+                fx.rand_unit_interval, fx.rand_claw_net_free)
+    graphs = [family(rng, rng.randint(1, 12)) for family in families for _ in range(50)]
+    graphs += [fx.window(n, w) for n in (2, 7, 12, 40) for w in (1, 2, 4)]
+    graphs += [fx.two_cliques(k) for k in (1, 2, 3, 8, 30)]
+
+    def recognized(g, cls):
+        return deciders._RECOGNIZERS[cls][0](g, None) is not None
+
+    fired = set()
+    for g in graphs:
+        holds, _ = deciders._class_table(g)
+        for cls in ("chordal", "split", "interval", "unit-interval", "claw-net-free"):
+            assert (holds(cls) is not None) == recognized(g, cls), (cls, sorted(g.edges()))
+        for cls, implied in deciders._IMPLIES.items():
+            if recognized(g, cls):
+                for other in implied:
+                    assert recognized(g, other), (cls, other, sorted(g.edges()))
+                    fired.add((cls, other))
+    assert fired == {(c, o) for c, implied in deciders._IMPLIES.items() for o in implied}
+
+
 def test_dispatch_verifies_class_hints():
     with pytest.raises(ClassMismatchError):
         dispatch_endvertex(fx.cycle(4), 0, K.MNS, class_hint="chordal")

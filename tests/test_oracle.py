@@ -13,9 +13,9 @@ from endvertex import (
     endvertex_set_exhaustive,
     is_endvertex_exhaustive,
     randomized_endvertex_probe,
-    terminal_orders_exhaustive,
     validate_order,
 )
+from reference import terminal_orders_exhaustive
 
 K = SearchKind
 

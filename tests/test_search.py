@@ -166,7 +166,7 @@ def test_peo_from_lbfs_and_mcs_on_chordal():
         for kind in (K.LBFS, K.MCS):
             order = run_search(kind, g, start=rng.randrange(g.n),
                                policy=SeededRandom(rng.getrandbits(32)))
-            assert endvertex.peo_check(g, list(reversed(order)))
+            assert endvertex.peo_violation(g, list(reversed(order))) is None
 
 
 def test_mcs_mns_eligibility_depends_on_visited_set_only():
