@@ -321,8 +321,6 @@ def cmd_recognize(args) -> int:
     g, names = load_graph(args.file)
     namer = _Namer(names)
     holds, _ = _class_table(g)
-    # Chordal first: its MCS refuses a disconnected graph.  Unit interval
-    # before claw-net-free, which it implies.
     peo, split, interval, unit, claw_net_free = (
         holds(cls) for cls in ("chordal", "split", "interval", "unit-interval", "claw-net-free"))
     hole = None if peo is not None else chordal_hole(g)

@@ -282,17 +282,18 @@ class DispatchResult:
     classes: tuple[str, ...] = ()
 
 
-# Class -> (recognizer given g and the presumed class's certificate,
-# returning its own or None; the class it presumes).  The lambdas look each
-# recognizer up when called, so a recognizer patched here is the one that
-# runs.  Unit interval presumes chordal (through interval), whose MCS refuses
-# a disconnected graph, so it runs the recognizer's body without that check.
+# Class -> recognizer given g and `holds`, returning the certificate or None.
+# Interval reuses chordal's PEO; a unit interval order settles claw-net-free.
+# The lambdas look each recognizer up when called, so a patched one runs.
+# Chordal's MCS (or, under a hint, dispatch) has refused a disconnected graph
+# before unit interval runs, so it skips the recognizer's own check.
 _RECOGNIZERS = {
-    "chordal": (lambda g, _: recognize_chordal(g), None),
-    "split": (lambda g, _: recognize_split(g), "chordal"),
-    "interval": (lambda g, peo: recognize_interval(g, peo), "chordal"),
-    "unit-interval": (lambda g, _: _unit_interval_order(g), "interval"),
-    "claw-net-free": (lambda g, _: is_claw_net_free(g) or None, None),
+    "chordal": lambda g, holds: recognize_chordal(g),
+    "split": lambda g, holds: recognize_split(g),
+    "interval": lambda g, holds: recognize_interval(g, holds("chordal")),
+    "unit-interval": lambda g, holds: _unit_interval_order(g),
+    "claw-net-free": lambda g, holds: (holds("unit-interval") is not None
+                                       or is_claw_net_free(g) or None),
 }
 # Class -> the classes it implies; its keys are the class hints.
 _IMPLIES = {
@@ -317,16 +318,16 @@ _ROUTES = {
 def _class_table(g: Graph, hint: str = "auto"):
     """`(holds, certs)`: `holds(cls)` is g's certificate for `cls` (True
     when implied) or None when g is not in it; `certs` caches the answers.
-    A class is recognized when first asked for, at most once, together
-    with the class it presumes, and not at all when an established class
-    implies it.  A class hint is validated up front (ClassMismatchError
-    when it fails); then it and the classes it implies are the only ones
-    that hold.  Test with `is not None`: the empty graph's are falsy."""
+    A class is recognized when first asked for, at most once, and not at
+    all when an established class implies it or it implies chordal and
+    chordal fails.  A hint is validated up front (ClassMismatchError when
+    it fails); then it and the classes it implies are the only ones that
+    hold.  Test with `is not None`: the empty graph's are falsy."""
     if hint not in _HINTS:
         raise ValueError(f"unknown class hint {hint!r} (expected one of {_HINTS})")
     certs: dict[str, object] = {}
     if hint != "auto":
-        cert = _RECOGNIZERS[hint][0](g, None)
+        cert = _RECOGNIZERS[hint](g, lambda cls: None)
         if cert is None:
             raise ClassMismatchError(f"class hint {hint!r} failed certificate validation")
         certs = {**dict.fromkeys(_RECOGNIZERS), **dict.fromkeys(_IMPLIES[hint], True), hint: cert}
@@ -335,10 +336,10 @@ def _class_table(g: Graph, hint: str = "auto"):
         if cls not in certs:
             if any(cls in _IMPLIES.get(c, ()) for c, cert in certs.items() if cert is not None):
                 certs[cls] = True
+            elif "chordal" in _IMPLIES.get(cls, ()) and holds("chordal") is None:
+                certs[cls] = None
             else:
-                recognizer, presumed = _RECOGNIZERS[cls]
-                prior = holds(presumed) if presumed else None
-                certs[cls] = recognizer(g, prior) if presumed is None or prior is not None else None
+                certs[cls] = _RECOGNIZERS[cls](g, holds)
         return certs[cls]
 
     return holds, certs
@@ -356,10 +357,11 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     `oracle_guard` (None: the oracle's default for the kind), then to
     UNKNOWN with the reason.
 
-    Classes come from `_class_table`, which validates `class_hint`.
-    `classes` of the result lists the classes established while
-    answering.  Connectivity is checked once, here; the characterizations
-    of `_ROUTES` trust it and the class instead of checking again.
+    Classes come from `_class_table`, which validates `class_hint`:
+    chordal gates split, interval and unit interval, and a unit interval
+    order settles claw-net-free.  `classes` lists every class established
+    while answering, gates included.  Connectivity is checked once, here;
+    the characterizations of `_ROUTES` trust it and the class.
     """
     _check_target(g, t)
     if not is_connected(g):

@@ -370,7 +370,7 @@ def is_claw_net_free(g: Graph) -> bool:
     triangles a < b < c are listed per edge ab with c in N(a) & N(b)
     (Chiba and Nishizeki 1985), skipping such nested edges, and a corner
     with no pendant (which a nested edge ac or bc leaves) ends the search
-    of a triangle."""
+    of a triangle.  N(a) - N(b) and N(b) - N(a) are taken once per edge."""
     adj = g.adj
     for nv in adj:
         if len(nv) < 3:
@@ -384,14 +384,14 @@ def is_claw_net_free(g: Graph) -> bool:
             if b < a:
                 continue
             nb = adj[b]
-            if len(na - nb) == 1 or len(nb - na) == 1:  # N[a] and N[b] nested
+            if len(only_a := na - nb) == 1 or len(only_b := nb - na) == 1:  # N[a], N[b] nested
                 continue
             for c in na & nb:
                 if c < b:
                     continue
                 nc = adj[c]
-                pend_a = na - nb - nc
-                pend_b = nb - na - nc
+                pend_a = only_a - nc  # b is in N(c)
+                pend_b = only_b - nc
                 if not (pend_a and pend_b):
                     continue
                 pend_c = nc - na - nb

@@ -18,6 +18,10 @@ Printed, one per line:
     exception, classes);
   * `witnesses`: the same with the witness order added;
   * `methods`: the same with witness, method and detail added;
+  * `answers`: SHA-256 over (graph, kind, hint, target, verdict,
+    exception, witness, method, detail), `methods` without `classes`,
+    so that a change in which classes dispatch established can be told
+    apart from a change in its answers;
   * the number of queries per (kind, hint, method), so that two trees'
     method changes can be counted.
 
@@ -67,7 +71,7 @@ def memoized(recognizer):
 def main() -> None:
     deciders.recognize_interval = memoized(deciders.recognize_interval)
     deciders._unit_interval_order = memoized(deciders._unit_interval_order)
-    shas = {name: hashlib.sha256() for name in ("verdicts", "witnesses", "methods")}
+    shas = {name: hashlib.sha256() for name in ("verdicts", "witnesses", "methods", "answers")}
     methods: Counter = Counter()
     total = 0
     for g in corpus():
@@ -79,11 +83,13 @@ def main() -> None:
                     try:
                         res = dispatch_endvertex(g, t, kind, class_hint=hint)
                     except Exception as exc:  # every exception is part of the outcome
-                        outcome = (f"raised {type(exc).__name__}: {exc}",)
+                        answer = f"raised {type(exc).__name__}: {exc}"
+                        outcome = (answer,)
                         method = "raised"
                         extra: tuple = ()
                     else:
-                        outcome = (res.verdict.value, res.classes)
+                        answer = res.verdict.value
+                        outcome = (answer, res.classes)
                         method = res.method
                         extra = (res.method, res.detail)
                     key = (graph, kind.value, hint, t)
@@ -91,6 +97,7 @@ def main() -> None:
                     shas["verdicts"].update(f"{key!r} {outcome!r}\n".encode())
                     shas["witnesses"].update(f"{key!r} {outcome!r} {witness!r}\n".encode())
                     shas["methods"].update(f"{key!r} {outcome!r} {witness!r} {extra!r}\n".encode())
+                    shas["answers"].update(f"{key!r} {answer!r} {witness!r} {extra!r}\n".encode())
                     methods[kind.value, hint or "auto", method] += 1
     print(f"{total} dispatches")
     for name, sha in shas.items():

@@ -1,5 +1,6 @@
 """Shared test fixtures: the small named example graphs used across the suite,
-seeded random instance generators, and independent brute-force oracles.
+seeded random instance generators, independent brute-force oracles, and a
+call counter for the recognizers the class table runs.
 
 The brute-force functions are deliberately naive (subset enumeration,
 pairwise checks, permutation scans) so they share no code path with the
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from endvertex import Graph
+from endvertex import Graph, deciders
 
 # ---------------------------------------------------------------------------
 # Named fixture graphs
@@ -118,6 +119,28 @@ def two_cliques(k: int) -> Graph:
     of degree 2k - 2, where the (claw, net) check does cubic work."""
     return Graph.from_edges(2 * k - 1, ((u, v) for lo in (0, k - 1)
                                         for u in range(lo, lo + k) for v in range(u + 1, lo + k)))
+
+
+def cocktail_party(k: int) -> Graph:
+    """K_2k minus the perfect matching {i, i + k}: (claw, net)-free, as no
+    three vertices are independent, and for k >= 2 not chordal (0, 1, k,
+    k + 1 is a hole), so dispatch settles its class with the (claw, net)
+    check."""
+    n = 2 * k
+    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n) if v != u + k))
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the calls of the recognizer `name` that the class table runs."""
+    calls = []
+    original = getattr(deciders, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(deciders, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -248,19 +248,6 @@ def test_cli_recognize_refuses_a_disconnected_graph(tmp_path, capsys):
         assert capsys.readouterr() == ("", "error: MCS requires a connected graph\n")
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Record the calls of the recognizer `name` that the class table runs."""
-    calls = []
-    original = getattr(endvertex.deciders, name)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(endvertex.deciders, name, counted)
-    return calls
-
-
 def _recognize_json(tmp_path, capsys, g: Graph) -> dict:
     path = tmp_path / "g.graph"
     path.write_text(graph_to_text(g))
@@ -272,7 +259,7 @@ def test_cli_recognize_skips_the_claw_net_check_on_unit_interval_graphs(tmp_path
                                                                        monkeypatch):
     """Unit interval implies (claw, net)-free, so two 500-cliques sharing
     a vertex never reach the check, which is cubic at that vertex."""
-    calls = _count_calls(monkeypatch, "is_claw_net_free")
+    calls = fx.count_calls(monkeypatch, "is_claw_net_free")
     doc = _recognize_json(tmp_path, capsys, fx.two_cliques(500))
     assert doc["unit_interval"] is not None and doc["claw_net_free"] is True
     assert calls == []
@@ -281,14 +268,14 @@ def test_cli_recognize_skips_the_claw_net_check_on_unit_interval_graphs(tmp_path
 @pytest.mark.parametrize("g", [fx.star(6), fx.claw(), fx.net()], ids=["star", "claw", "net"])
 def test_cli_recognize_runs_the_claw_net_check_once_off_unit_interval(tmp_path, capsys,
                                                                       monkeypatch, g):
-    calls = _count_calls(monkeypatch, "is_claw_net_free")
+    calls = fx.count_calls(monkeypatch, "is_claw_net_free")
     doc = _recognize_json(tmp_path, capsys, g)
     assert doc["unit_interval"] is None and doc["claw_net_free"] is False
     assert len(calls) == 1
 
 
 def test_cli_recognize_checks_split_only_on_chordal_graphs(tmp_path, capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, "recognize_split")
+    calls = fx.count_calls(monkeypatch, "recognize_split")
     doc = _recognize_json(tmp_path, capsys, fx.cycle(6))
     assert doc["chordal"] is None and doc["split"] is None
     assert calls == []
@@ -383,8 +370,8 @@ def _window_file(tmp_path, n):
 
 
 def test_cli_auto_mns_and_dfs_on_a_long_window_recognize_only_linear_classes(tmp_path, capsys):
-    """MNS needs only chordality and DFS tests claw-net-freeness first, so
-    neither needs interval or unit interval recognition."""
+    """MNS needs only chordality, and DFS settles claw-net-freeness with
+    the unit interval order, so neither needs interval recognition."""
     path = _window_file(tmp_path, 1000)
     for kind in ("mns", "dfs"):
         assert main(["endvertex", path, "--kind", kind, "--target", "0"]) == 0
@@ -545,3 +532,19 @@ def test_cli_ldfs_and_mns_round_trip_on_a_20000_vertex_window(tmp_path):
         assert sorted(map(int, order.split(","))) == list(range(n))
         checked = cli("validate", path, "--kind", kind, "--order", order)
         assert (checked.returncode, checked.stdout) == (0, "valid\n"), checked.stderr
+
+
+def test_cli_auto_dfs_on_two_500_cliques_exits_0(tmp_path):
+    """Two 500-cliques sharing a vertex (n = 999, m = 249 500) are unit
+    interval, so auto DFS never reaches the claw-net check, which is cubic
+    at the shared vertex.  The timeout turns that check into a failure
+    instead of a hung suite."""
+    path = tmp_path / "two_cliques500.graph"
+    path.write_text(graph_to_text(fx.two_cliques(500)))
+    src = str(Path(endvertex.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "endvertex.cli", "endvertex", str(path),
+                           "--kind", "dfs", "--target", "0"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "Yes"

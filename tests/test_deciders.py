@@ -311,24 +311,26 @@ def test_auto_detection_certifies_split_with_a_partition(monkeypatch):
 def test_dispatch_recognizes_only_what_the_kind_uses():
     """Every class but split holds on a window graph (i ~ j iff
     |i - j| <= 3), so the classes an auto query establishes are exactly
-    the recognizers its kind ran."""
+    the recognizers its kind ran (chordal gating unit interval), plus
+    claw-net-free, which the unit interval order settles."""
     n = 30
     g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + 4, n))])
     expected = {
         K.MNS: ("chordal",),
         K.GENERIC: (), K.BFS: (), K.LBFS: (),
-        K.LDFS: ("chordal", "interval", "unit-interval"),
-        K.MCS: ("chordal", "interval", "unit-interval"),
-        K.DFS: ("claw-net-free",),
+        K.LDFS: ("chordal", "unit-interval"),
+        K.MCS: ("chordal", "unit-interval"),
+        K.DFS: ("chordal", "claw-net-free", "unit-interval"),
     }
     for kind in SearchKind:
         assert dispatch_endvertex(g, 0, kind).classes == expected[kind], kind
 
 
 def test_auto_interval_recognition_reuses_the_chordal_peo(monkeypatch):
-    """Auto LDFS and MCS recognize interval on the PEO that chordal
-    recognition found: one maximum cardinality search per query on a
-    12-vertex interval graph."""
+    """Auto MCS recognizes interval on the PEO that chordal recognition
+    found: one maximum cardinality search per query on interval graphs
+    that are neither split nor unit interval, the ones where MCS asks
+    for interval."""
     import endvertex.chordal as chordal
 
     calls = []
@@ -338,12 +340,17 @@ def test_auto_interval_recognition_reuses_the_chordal_peo(monkeypatch):
         calls.append(g)
         return original(g, *args)
 
+    rng = random.Random(4108)
+    graphs = []
+    while len(graphs) < 10:
+        g = fx.rand_interval(rng, 12)
+        if not is_split(g) and recognize_unit_interval(g) is None:
+            graphs.append(g)
     monkeypatch.setattr(chordal, "mcs_order", counted)
-    for g in (fx.window(12), fx.rand_interval(random.Random(4108), 12)):
-        for kind in (K.LDFS, K.MCS):
-            calls.clear()
-            res = dispatch_endvertex(g, 0, kind)
-            assert "interval" in res.classes and len(calls) == 1, (kind, res)
+    for g in graphs:
+        calls.clear()
+        res = dispatch_endvertex(g, 0, K.MCS)
+        assert res.classes == ("chordal", "interval") and len(calls) == 1, res
 
 
 def test_auto_dispatch_answers_on_stars_and_spiders():
@@ -362,11 +369,40 @@ def test_auto_dispatch_answers_on_stars_and_spiders():
 
 
 def test_auto_dfs_answers_on_a_large_clique():
-    """The claw test does no pair work on a clique and the net test skips
-    every edge whose closed neighbourhoods are nested, so K_300 is cheap."""
+    """K_300 is unit interval, so its unit interval order settles
+    claw-net-freeness and the cubic check never runs."""
     g = fx.clique(300)
     res = dispatch_endvertex(g, 0, K.DFS)
     assert res.verdict is Verdict.YES and res.method == "cut-vertex characterization"
+
+
+def test_auto_dfs_skips_the_claw_net_check_on_unit_interval_graphs(monkeypatch):
+    """Two 500-cliques sharing vertex 499 are unit interval, so the cubic
+    check, which does cubic work at the shared vertex, never runs."""
+    calls = fx.count_calls(monkeypatch, "is_claw_net_free")
+    g = fx.two_cliques(500)
+    assert dispatch_endvertex(g, 0, K.DFS).verdict is Verdict.YES
+    res = dispatch_endvertex(g, 499, K.DFS)
+    assert res.verdict is Verdict.NO and res.method == "cut-vertex characterization"
+    assert calls == []
+
+
+def test_auto_ldfs_and_mcs_skip_interval_recognition_on_unit_interval_graphs(monkeypatch):
+    calls = fx.count_calls(monkeypatch, "recognize_interval")
+    g = fx.window(2000)
+    for kind in (K.LDFS, K.MCS):
+        assert dispatch_endvertex(g, 0, kind).method == "unit-interval characterization"
+    assert calls == []
+
+
+def test_auto_dfs_gates_unit_interval_on_chordality(monkeypatch):
+    """C_6 is not chordal, so the unit interval sweeps never run and the
+    claw-net check runs once."""
+    sweeps = fx.count_calls(monkeypatch, "_unit_interval_order")
+    checks = fx.count_calls(monkeypatch, "is_claw_net_free")
+    res = dispatch_endvertex(fx.cycle(6), 0, K.DFS)
+    assert res.verdict is Verdict.YES and res.classes == ("claw-net-free",)
+    assert sweeps == [] and len(checks) == 1
 
 
 def test_every_class_a_class_implies_passes_its_own_recognizer():
@@ -383,7 +419,7 @@ def test_every_class_a_class_implies_passes_its_own_recognizer():
     graphs += [fx.two_cliques(k) for k in (1, 2, 3, 8, 30)]
 
     def recognized(g, cls):
-        return deciders._RECOGNIZERS[cls][0](g, None) is not None
+        return deciders._RECOGNIZERS[cls](g, lambda c: None) is not None
 
     fired = set()
     for g in graphs:

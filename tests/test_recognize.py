@@ -204,10 +204,20 @@ def test_weakly_chordal_matches_subset_bruteforce():
 
 
 def test_claw_net_free_matches_subset_bruteforce():
+    """Random graphs, plus cocktail-party graphs (dense, claw-net-free,
+    not chordal) with and without a private pendant at each corner of the
+    triangle 0, 1, 2, which makes a net."""
     rng = random.Random(4008)
-    for _ in range(120):
-        g = fx.rand_connected_graph(rng, rng.randint(2, 8))
+    graphs = [fx.rand_connected_graph(rng, rng.randint(2, 8)) for _ in range(120)]
+    for k in (2, 3, 4):
+        g = fx.cocktail_party(k)
+        graphs.append(g)
+        if k >= 3:  # k = 2 is C_4, which has no triangle
+            n = g.n
+            graphs.append(Graph.from_edges(n + 3, [*g.edges(), (0, n), (1, n + 1), (2, n + 2)]))
+    for g in graphs:
         assert is_claw_net_free(g) == fx.brute_is_claw_net_free(g)
+    assert [is_claw_net_free(g) for g in graphs[120:]] == [True, True, False, True, False]
 
 
 def test_invalid_clique_order_rejected():
