@@ -2,12 +2,13 @@
 contracts, plus a dispatcher that routes a query to the strongest
 characterization its search kind has.
 
-Each complete characterization is one private function
+Each characterization is one private function
 `(g, t, cert, name_of) -> (holds, detail)` that assumes g connected and
-in its class, with `cert` the class's certificate.  `dispatch_endvertex`
-checks connectivity once, recognizes only the classes the query's kind
-can use, each at most once, and calls the characterization its route
-table names.  Each public `decide_*` function runs the same
+in its class, with `cert` the class's certificate; a one-sided one
+returns None for `holds` where it cannot settle the query.
+`dispatch_endvertex` checks connectivity once, recognizes only the
+classes the query's kind can use, each at most once, and calls the
+characterizations its route table names.  Each public `decide_*` function runs the same
 characterization behind one precondition helper, `_decide`, which
 checks the target, connectivity and the class, and raises
 ClassMismatchError when the class check fails.
@@ -186,9 +187,9 @@ def decide_dfs_interval(g: Graph, t: int) -> bool:
 
 def _dfs_interval(g: Graph, t: int, order: CliqueOrder, name_of=str) -> tuple[bool, str | None]:
     """`order` is a clique path of g, which restricted to N(t) is an
-    interval model of G[N(t)].  The only characterization that reads
-    its certificate: a hint that implies interval (unit-interval) also
-    implies claw-net-free, whose route answers DFS first."""
+    interval model of G[N(t)].  It reads its certificate, so it must
+    never get True: a hint that implies interval (unit-interval) also
+    implies claw-net-free, whose row answers DFS first."""
     if hamiltonian_path(g, order, g.adj[t]) is not None:
         return True, None
     return False, f"G[N({name_of(t)})] has no hamiltonian path"
@@ -243,16 +244,18 @@ def mcs_interval_sufficient(g: Graph, order: CliqueOrder, t: int) -> Verdict:
     _check_target(g, t)
     if not validate_clique_order(g, order):
         raise ValueError("invalid clique order for this graph")
-    return _mcs_interval_verdict(g, order, t)
+    return Verdict.YES if _mcs_interval(g, t, order)[0] else Verdict.UNKNOWN
 
 
-def _mcs_interval_verdict(g: Graph, order: CliqueOrder, t: int) -> Verdict:
-    """Assumes `order` is a valid clique order of g."""
-    if not is_simplicial(g, t):
-        return Verdict.UNKNOWN
-    if _separator_growth_conditions(order.cliques, t) or _separator_growth_conditions(order.reversed().cliques, t):
-        return Verdict.YES
-    return Verdict.UNKNOWN
+def _mcs_interval(g: Graph, t: int, order: CliqueOrder,
+                  name_of=str) -> tuple[bool | None, str | None]:
+    """`order` is a valid clique order of g (never True: the only hint
+    implying interval, unit-interval, answers MCS in its own row first).
+    Settles only YES; when the condition fails it returns (None, why)."""
+    if is_simplicial(g, t) and (_separator_growth_conditions(order.cliques, t)
+                                or _separator_growth_conditions(order.reversed().cliques, t)):
+        return True, None
+    return None, "MCS on general interval graphs has no full characterization in scope"
 
 
 def _separator_growth_conditions(cliques: tuple[frozenset, ...], t: int) -> bool:
@@ -303,12 +306,17 @@ _IMPLIES = {
     "unit-interval": ("interval", "chordal", "claw-net-free"),
 }
 _HINTS = ("auto", *_IMPLIES)
-# Kind -> its complete characterizations, tried in order:
-# (class, method, characterization given the class's certificate).
+# Kind -> its characterizations, tried in order: (class, method,
+# characterization given the class's certificate).  A characterization
+# returns (True or False, detail) when it settles the query and (None, why)
+# when it cannot; the last `why` goes to the oracle.  Under a hint, implied
+# classes hold True, so a row that reads its certificate must follow a
+# settling row of every hint that implies its class.
 _ROUTES = {
     SearchKind.MNS: (("chordal", "chordal MNS characterization", _mns_chordal),),
     SearchKind.MCS: (("split", "split MCS characterization", _mcs_split),
-                     ("unit-interval", "unit-interval characterization", _unit_interval)),
+                     ("unit-interval", "unit-interval characterization", _unit_interval),
+                     ("interval", "interval MCS sufficient condition", _mcs_interval)),
     SearchKind.LDFS: (("unit-interval", "unit-interval characterization", _unit_interval),),
     SearchKind.DFS: (("claw-net-free", "cut-vertex characterization", _cut_vertex),
                      ("interval", "interval DFS characterization", _dfs_interval)),
@@ -374,25 +382,18 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
                               tuple(witness) if witness is not None else None,
                               tuple(sorted(c for c, cert in certs.items() if cert is not None)))
 
-    def oracle_or_unknown(detail: str | None, unknown_detail: str) -> DispatchResult:
-        try:
-            ok, witness = is_endvertex_exhaustive(g, kind, t, guard=oracle_guard)
-        except GuardExceededError:
-            return result(Verdict.UNKNOWN, "none", unknown_detail)
-        return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle", detail, witness)
-
+    why = None
     for cls, method, characterization in _ROUTES.get(kind, ()):
         cert = holds(cls)
         if cert is not None:
             ok, why = characterization(g, t, cert, name_of)
-            return result(Verdict.YES if ok else Verdict.NO, method, why)
-    if kind is SearchKind.MCS and (order := holds("interval")) is not None:
-        if _mcs_interval_verdict(g, order, t) is Verdict.YES:
-            return result(Verdict.YES, "interval MCS sufficient condition")
-        return oracle_or_unknown(
-            "MCS on general interval graphs has no full characterization in scope",
-            "no polynomial characterization in scope (MCS on interval graphs is open)")
-    return oracle_or_unknown(None, "no polynomial characterization in scope")
+            if ok is not None:
+                return result(Verdict.YES if ok else Verdict.NO, method, why)
+    try:
+        ok, witness = is_endvertex_exhaustive(g, kind, t, guard=oracle_guard)
+    except GuardExceededError:
+        return result(Verdict.UNKNOWN, "none", why or "no polynomial characterization in scope")
+    return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle", why, witness)
 
 
 def _decide(g: Graph, t: int, cls: str, recognize, characterization) -> bool:

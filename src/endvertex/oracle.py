@@ -82,10 +82,11 @@ def _orders(g: Graph, kind: SearchKind, start: int | None,
     found = 0  # end-vertices of the orders generated so far, as a bitmask
     emitted = 0
     # One frame per prefix length: the vertices still to try after it, the
-    # number of orders generated before it was entered, and its state key.
-    stack = [(iter(range(n) if start is None else (start,)), 0, root)]
+    # number of orders generated before it was entered, its state key and
+    # its unvisited vertices as a bitmask (for the set-query pruning).
+    stack = [(iter(range(n) if start is None else (start,)), 0, root, (1 << n) - 1)]
     while stack:
-        todo, entered, key = stack[-1]
+        todo, entered, key, rest = stack[-1]
         for v in todo:
             if len(order) == n - 1:
                 advance(v)
@@ -101,10 +102,11 @@ def _orders(g: Graph, kind: SearchKind, start: int | None,
                 continue
             if sub is not None and target is None:
                 memo.add(sub)
-            if target is None and not replay.full_mask & ~(replay.visited_mask | 1 << v) & ~found:
+            after = rest ^ 1 << v
+            if target is None and not after & ~found:
                 continue
             advance(v)
-            stack.append((iter(replay.eligible()), emitted, sub))
+            stack.append((iter(replay.eligible()), emitted, sub, after))
             break
         else:
             stack.pop()

@@ -4,19 +4,21 @@ eligibility rules over search prefixes.
 Every search is defined by one question: given the vertices visited so
 far (in order), which unvisited vertices may legally come next?  Every
 answer reads one label per unvisited vertex: the positions of its
-visited neighbors, kept as a bitmask (bit i is set iff the i-th visited
-vertex is a neighbor).
+visited neighbors, kept as a bitmask.  BFS and LBFS give the i-th
+visited vertex the bit 1 << (n - 1 - i), every other kind 1 << i, so
+that the position a rule favours is always the higher bit and each rule
+is one comparison:
 
-  Generic  a nonempty label (every vertex, if none is visited)
-  BFS      a nonempty label holding the lowest bit of all labels: the
-           earliest visited neighbor
-  DFS      a label holding the highest bit of all labels: a neighbor of
-           the latest visited vertex that still has an unvisited one
-  LBFS     maximal label, earliest-first: at the smallest position where
-           exactly one of two labels has its bit set, that label wins
-  LDFS     maximal label, latest-first: the largest such position wins,
-           which is plain integer comparison
-  MCS      maximal number of set bits (visited neighbors)
+  Generic  a label holding any bit of the union of all labels (every
+           vertex, if none is visited)
+  BFS      a label holding the highest bit of the union: a neighbor of
+           the earliest visited vertex that still has an unvisited one
+  DFS      the same comparison, where the highest bit is the latest
+           such vertex
+  LBFS     the largest label: at the earliest position where two
+           labels differ, the one holding it wins
+  LDFS     the largest label: the latest such position wins
+  MCS      the most set bits (visited neighbors)
   MNS      labels that no other label strictly contains
 
 Once no unvisited vertex has a visited neighbor (a disconnected graph),
@@ -48,12 +50,11 @@ the exhaustive oracle, which walk arbitrary prefixes.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from heapq import heappop, heappush, heapreplace
-from operator import or_
 from typing import Iterator, Sequence
 
 from .chordal import _position_map
@@ -137,113 +138,87 @@ HIGHEST_ID = HighestId()
 class SearchReplay:
     """Incremental prefix state for one search kind on one graph.
 
-    Besides the prefix, the state is one label per vertex: for an
-    unvisited vertex, the bitmask of the positions of its visited
-    neighbors (bit i is set iff the i-th visited vertex is a neighbor).
-    Every kind reads its rule off these labels, and advance/retreat
-    update them the same way for every kind, so enumerators can walk the
-    prefix tree without recomputing labels.  The labels are always
-    exactly a function of the current prefix.
+    Besides the prefix, the state is one label per vertex: the bits of
+    the positions of its visited neighbours, where position i is the bit
+    `bits[i]` (`1 << (n - 1 - i)` for BFS and LBFS, `1 << i` for every
+    other kind), and the unvisited vertices in ascending order (`left`).
+    Each rule of the module docstring is one comparison over the labels
+    in `left`.  `advance` adds the new position's bit to every
+    neighbour's label and `retreat` removes it, visited neighbours
+    included: prefixes nest, so a visited vertex's later neighbours are
+    retreated before it is, and its label is exact again by then.
 
     It serves `eligible_set` and the exhaustive oracle, which step
     through arbitrary prefixes; `run_search` and `validate_order` run
-    the rank-keyed engines instead.  `eligible` scans all n vertices.
+    the rank-keyed engines instead.  `eligible` reads the labels of the
+    unvisited vertices only.
     """
 
-    __slots__ = ("kind", "n", "adj", "order", "pos", "label", "visited_mask", "full_mask")
+    __slots__ = ("kind", "adj", "bits", "order", "pos", "label", "left")
 
     def __init__(self, g: Graph, kind: SearchKind):
+        n = g.n
         self.kind = kind
-        self.n = g.n
         self.adj = g.adj
+        if kind is SearchKind.BFS or kind is SearchKind.LBFS:
+            self.bits = [1 << i for i in range(n - 1, -1, -1)]
+        else:
+            self.bits = [1 << i for i in range(n)]
         self.order: list[int] = []
-        self.pos = [-1] * g.n
-        self.label = [0] * g.n
-        self.visited_mask = 0
-        self.full_mask = (1 << g.n) - 1
+        self.pos = [-1] * n
+        self.label = [0] * n
+        self.left = list(range(n))
 
     def advance(self, v: int) -> None:
-        pos, label = self.pos, self.label
-        if pos[v] >= 0:
+        if self.pos[v] >= 0:
             raise ValueError(f"vertex {v} already visited")
         i = len(self.order)
-        pos[v] = i
+        self.pos[v] = i
         self.order.append(v)
-        self.visited_mask |= 1 << v
-        bit = 1 << i
+        self.left.remove(v)
+        bit, label = self.bits[i], self.label
         for w in self.adj[v]:
-            if pos[w] < 0:
-                label[w] |= bit
+            label[w] |= bit
 
     def retreat(self) -> None:
-        pos, label = self.pos, self.label
         v = self.order.pop()
-        pos[v] = -1
-        self.visited_mask ^= 1 << v
-        bit = 1 << len(self.order)
-        # The unvisited neighbors are again exactly those that advance(v) marked.
+        self.pos[v] = -1
+        insort(self.left, v)
+        bit, label = self.bits[len(self.order)], self.label
         for w in self.adj[v]:
-            if pos[w] < 0:
-                label[w] ^= bit
+            label[w] ^= bit
 
     def unvisited(self) -> list[int]:
-        return [v for v, p in enumerate(self.pos) if p < 0]
+        return list(self.left)
 
     def eligible(self) -> list[int]:
         """Vertices a valid step may visit next, ascending."""
+        kind, left, label = self.kind, self.left, self.label
         if not self.order:
-            return list(range(self.n))
-        kind, pos, label = self.kind, self.pos, self.label
-        if kind is SearchKind.DFS:
-            # The latest position in any label is that of the latest visited
-            # vertex with an unvisited neighbor; the labels holding it are
-            # exactly those neighbors'.
-            top = max([lab for p, lab in zip(pos, label) if p < 0 and lab], default=0)
-            if not top:
-                return []
-            return sorted([w for w in self.adj[self.order[top.bit_length() - 1]] if pos[w] < 0])
-        if kind is SearchKind.GENERIC or kind is SearchKind.BFS:
-            cand = [v for v, p in enumerate(pos) if p < 0 and label[v]]
-            if not cand or kind is SearchKind.GENERIC:
-                return cand
-            low = reduce(or_, map(label.__getitem__, cand))
-            low &= -low  # the earliest position in any label
-            return [v for v in cand if label[v] & low]
-        cand = self.unvisited()
-        if not cand:
-            return cand
-        if kind is SearchKind.MCS:
-            counts = [label[v].bit_count() for v in cand]
-            best = max(counts)
-            return [v for v, c in zip(cand, counts) if c == best]
-        if kind is SearchKind.LDFS:
-            # Latest-first label comparison is integer comparison.
-            best = max(label[v] for v in cand)
-        elif kind is SearchKind.LBFS:
-            best = label[cand[0]]
-            for v in cand[1:]:
-                if _lbfs_beats(label[v], best):
-                    best = label[v]
-        else:  # MNS: labels that no other label strictly contains
-            labels = [label[v] for v in cand]
+            return list(left)
+        if kind is SearchKind.MNS:  # labels that no other label strictly contains
+            labels = [label[v] for v in left]
             out = []
-            for v, lab in zip(cand, labels):
+            for v, lab in zip(left, labels):
                 for other in labels:
                     if lab != other and lab & other == lab:
                         break
                 else:
                     out.append(v)
             return out
-        return [v for v in cand if label[v] == best]
-
-
-def _lbfs_beats(a: int, b: int) -> bool:
-    """Earliest-first comparison: at the lowest differing position, the
-    label that has it wins.  Empty-vs-anything loses."""
-    if a == b:
-        return False
-    low = (a ^ b) & -(a ^ b)
-    return bool(a & low)
+        if kind is SearchKind.GENERIC or kind is SearchKind.BFS or kind is SearchKind.DFS:
+            # Generic: any bit of the union of labels (-1 holds them all);
+            # BFS, DFS: its highest bit, which is the largest label's (or 0).
+            want = -1 if kind is SearchKind.GENERIC else \
+                1 << max(map(label.__getitem__, left), default=0).bit_length() >> 1
+            return [v for v in left if label[v] & want]
+        # LBFS and LDFS: the largest label; MCS: the most bits.
+        if kind is SearchKind.MCS:
+            keys = [label[v].bit_count() for v in left]
+        else:
+            keys = [label[v] for v in left]
+        best = max(keys, default=0)
+        return [v for v, key in zip(left, keys) if key == best]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ Printed, one per line:
     so that a change in which classes dispatch established can be told
     apart from a change in its answers;
   * the number of queries per (kind, hint, method), so that two trees'
-    method changes can be counted.
+    method changes can be counted;
+  * for a second corpus above every oracle guard (20 seeded
+    `rand_interval` graphs with n = 20-24 x 7 kinds x auto and the
+    interval hint x 3 targets), where dispatch answers UNKNOWN whenever
+    no characterization settles the query: the `slice` SHA-256 over the
+    same fields as `answers`, and the number of its queries per (kind,
+    hint, method, verdict), with the detail of each UNKNOWN, so that
+    a change of UNKNOWN text can be counted.
 
 The interval and unit interval recognizers are memoized per graph (each
 runs at most once per graph), because exhaustive recognizers, where a
@@ -41,7 +48,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import fixtures as fx  # noqa: E402  (the script's own directory is on sys.path)
-from endvertex import SearchKind, dispatch_endvertex  # noqa: E402
+from endvertex import SearchKind, Verdict, dispatch_endvertex  # noqa: E402
 from endvertex import deciders  # noqa: E402
 
 FAMILIES = (fx.rand_connected_graph, fx.rand_chordal, fx.rand_split, fx.rand_interval,
@@ -54,6 +61,14 @@ def corpus():
     for family in FAMILIES:
         for _ in range(100):
             yield family(rng, rng.randint(1, 10))
+
+
+def above_guard():
+    """(graph, targets) pairs with n above every oracle guard."""
+    rng = random.Random(9002)
+    for _ in range(20):
+        g = fx.rand_interval(rng, rng.randint(20, 24))
+        yield g, rng.sample(range(g.n), 3)
 
 
 def memoized(recognizer):
@@ -104,6 +119,23 @@ def main() -> None:
         print(f"{name}: {sha.hexdigest()}")
     for (kind, hint, method), count in sorted(methods.items()):
         print(f"{kind:8} {hint:14} {method:40} {count}")
+
+    sha = hashlib.sha256()
+    slice_counts: Counter = Counter()
+    for g, targets in above_guard():
+        graph = sorted(g.edges())
+        for kind in SearchKind:
+            for hint in (None, "interval"):
+                for t in targets:
+                    res = dispatch_endvertex(g, t, kind, class_hint=hint)
+                    key = (graph, kind.value, hint, t)
+                    answer, extra = res.verdict.value, (res.method, res.detail)
+                    sha.update(f"{key!r} {answer!r} {(res.witness,)!r} {extra!r}\n".encode())
+                    shown = res.detail if res.verdict is Verdict.UNKNOWN else ""
+                    slice_counts[kind.value, hint or "auto", res.method, answer, shown] += 1
+    print(f"slice: {sum(slice_counts.values())} dispatches above the guards, {sha.hexdigest()}")
+    for (kind, hint, method, answer, shown), count in sorted(slice_counts.items()):
+        print(f"{kind:8} {hint:14} {method:40} {answer:8} {count:4} {shown}")
 
 
 if __name__ == "__main__":

@@ -434,6 +434,59 @@ def test_every_class_a_class_implies_passes_its_own_recognizer():
     assert fired == {(c, o) for c, implied in deciders._IMPLIES.items() for o in implied}
 
 
+def test_rows_that_read_their_certificate_never_get_true(monkeypatch):
+    """Under a hint, implied classes hold True in place of a certificate;
+    only `_ROUTES`' row order keeps True away from the rows that read
+    their certificate.  Every hint x kind over the six random families,
+    windows and two cliques sharing a vertex (the oracle is off)."""
+    seen = set()
+
+    def wrapped(name, characterization):
+        def row(g, t, cert, name_of=str):
+            assert cert is not True, (name, sorted(g.edges()), t)
+            seen.add(name)
+            return characterization(g, t, cert, name_of)
+        return row
+
+    readers = {deciders._unit_interval, deciders._dfs_interval, deciders._mcs_interval}
+    for kind, rows in deciders._ROUTES.items():
+        monkeypatch.setitem(deciders._ROUTES, kind, tuple(
+            (cls, method, wrapped(f.__name__, f) if f in readers else f)
+            for cls, method, f in rows))
+    rng = random.Random(1818)
+    families = (fx.rand_connected_graph, fx.rand_chordal, fx.rand_split, fx.rand_interval,
+                fx.rand_unit_interval, fx.rand_claw_net_free)
+    graphs = [family(rng, rng.randint(1, 10)) for family in families for _ in range(20)]
+    graphs += [fx.window(n, w) for n in (2, 7, 12) for w in (1, 2, 4)]
+    graphs += [fx.two_cliques(k) for k in (1, 2, 3, 8)]
+    for g in graphs:
+        for hint in deciders._HINTS:
+            for kind in SearchKind:
+                for t in {0, g.n - 1}:
+                    try:
+                        dispatch_endvertex(g, t, kind, class_hint=hint, oracle_guard=0)
+                    except ClassMismatchError:
+                        pass
+    assert seen == {f.__name__ for f in readers}
+
+
+def test_auto_mcs_on_a_large_interval_graph_gives_the_interval_row_reason():
+    """Above the oracle guard, auto MCS on an interval graph that is
+    neither split nor unit interval is UNKNOWN, with the interval row's
+    reason, wherever its sufficient condition fails."""
+    g = fx.rand_interval(random.Random(1819), 20)
+    results = [dispatch_endvertex(g, t, K.MCS) for t in range(g.n)]
+    unknown = [res for res in results if res.verdict is Verdict.UNKNOWN]
+    assert unknown
+    for res in results:
+        assert res.classes == ("chordal", "interval")
+        if res.verdict is Verdict.UNKNOWN:
+            assert res.method == "none"
+            assert res.detail == "MCS on general interval graphs has no full characterization in scope"
+        else:
+            assert res.verdict is Verdict.YES and res.method == "interval MCS sufficient condition"
+
+
 def test_dispatch_verifies_class_hints():
     with pytest.raises(ClassMismatchError):
         dispatch_endvertex(fx.cycle(4), 0, K.MNS, class_hint="chordal")

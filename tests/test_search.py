@@ -248,6 +248,35 @@ def test_eligible_set_matches_a_from_scratch_reference():
                     (trial, kind, prefix, sorted(g.edges()))
 
 
+def test_replay_labels_stay_exact_through_advance_and_retreat():
+    """Random walks forward and back on one replay per kind and graph
+    (a third of the graphs disconnected), so that labels are checked
+    after retreats too: after every step, `eligible()` and `unvisited()`
+    match the definition, in ascending order."""
+    rng = random.Random(3008)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        if trial % 3:
+            g = fx.rand_connected_graph(rng, n)
+        else:
+            p = rng.uniform(0.0, 0.6)
+            g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if rng.random() < p])
+        for kind in ALL_KINDS:
+            replay = SearchReplay(g, kind)
+            for step in range(4 * n):
+                if replay.order and (len(replay.order) == n or rng.random() < 0.4):
+                    replay.retreat()
+                else:
+                    replay.advance(rng.choice(rng.choice((replay.eligible(), replay.unvisited()))
+                                              or replay.unvisited()))
+                prefix = replay.order
+                assert replay.unvisited() == sorted(set(range(n)) - set(prefix))
+                if len(prefix) < n:
+                    assert replay.eligible() == sorted(reference_eligible(kind, g, prefix)), \
+                        (trial, kind, step, list(prefix), sorted(g.edges()))
+
+
 def test_search_engine_needs_no_adjacency_masks():
     assert not hasattr(Graph, "adjacency_masks")
     rng = random.Random(3006)
