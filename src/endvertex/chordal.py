@@ -120,16 +120,18 @@ def clique_tree(g: Graph, peo=None) -> tuple[list[frozenset], list[tuple[int, in
     the clique of the most recently visited such neighbor.  Tree edges
     carry their separator (the visited neighborhood of the clique's
     first vertex).  O(n + m); raises NotChordalError on non-chordal
-    input, detected by the elimination test on the reversed order, and
-    DisconnectedGraphError on disconnected input.  A given `peo` must be
-    `recognize_chordal(g)`'s (a reversed MCS order); it is trusted.
+    input and DisconnectedGraphError on disconnected input.  A given
+    `peo` must be `recognize_chordal(g)`'s (a reversed MCS order); it is
+    trusted, and without one `recognize_chordal` runs here.
     """
     n = g.n
     if n == 0:
         return [], []
-    order = peo[::-1] if peo is not None else mcs_order(g)
-    if peo is None and peo_violation(g, order[::-1]) is not None:
-        raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
+    if peo is None:
+        peo = recognize_chordal(g)
+        if peo is None:
+            raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
+    order = peo[::-1]
     visit_index = _position_map(order, n)
     cliques: list[list[int]] = [[order[0]]]
     clique_of = [0] * n

@@ -10,8 +10,9 @@ returns None for `holds` where it cannot settle the query.
 classes the query's kind can use, each at most once, and calls the
 characterizations its route table names.  Each public `decide_*` function runs the same
 characterization behind one precondition helper, `_decide`, which
-checks the target, connectivity and the class, and raises
-ClassMismatchError when the class check fails.
+checks the target and connectivity, establishes the class through the
+same class table rows (`_RECOGNIZERS`) as dispatch, and raises
+ClassMismatchError when the class does not hold.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from .graph import Graph, _chain_break, cut_vertices, is_connected, is_simplicia
 from .oracle import is_endvertex_exhaustive
 from .recognize import (
     CliqueOrder,
-    _unit_interval_order,
     is_claw_net_free,
-    is_split,
     recognize_interval,
     recognize_split,
+    recognize_unit_interval,
     validate_clique_order,
 )
 from .search import SearchKind
@@ -52,7 +52,7 @@ def decide_mns_chordal(g: Graph, t: int) -> bool:
     chain.  Those separators are exactly the sets N(C), one per
     component C of G - N[t], so one search over G - N[t] finds them and
     no clique tree is built.  O(n + m), the chordality check included."""
-    return _decide(g, t, "chordal", recognize_chordal, _mns_chordal)
+    return _decide(g, t, "chordal", _mns_chordal)
 
 
 def _mns_chordal(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
@@ -111,7 +111,7 @@ def decide_mcs_split(g: Graph, t: int) -> bool:
     vertices form an inclusion chain.  `is_inclusion_chain`'s walk (a
     counting sort by size plus stamps) keeps this O(n + m), the split
     check included."""
-    return _decide(g, t, "split", is_split, _mcs_split)
+    return _decide(g, t, "split", _mcs_split)
 
 
 def _mcs_split(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
@@ -136,7 +136,7 @@ def decide_unit_interval(g: Graph, t: int) -> bool:
     simultaneously for MNS, MCS and LDFS: t is simplicial and G - N[t]
     is connected (or empty).  O(n) after the class check, whose three
     LBFS sweeps cost O(n + m log Δ)."""
-    return _decide(g, t, "unit interval", _unit_interval_order, _unit_interval)
+    return _decide(g, t, "unit interval", _unit_interval)
 
 
 def _unit_interval(g: Graph, t: int, order: list[int], name_of=str) -> tuple[bool, str | None]:
@@ -167,9 +167,10 @@ def _unit_interval(g: Graph, t: int, order: list[int], name_of=str) -> tuple[boo
 
 def decide_dfs_claw_net_free(g: Graph, t: int) -> bool:
     """On a connected (claw, net)-free graph, t is a DFS end-vertex iff
-    t is not a cut vertex.  O(n + m) after the class check, which is
-    not linear."""
-    return _decide(g, t, "claw-net-free", is_claw_net_free, _cut_vertex)
+    t is not a cut vertex.  O(n + m) after the class check, which reads
+    a unit interval order when g has one and otherwise runs the (claw,
+    net) check, which is not linear."""
+    return _decide(g, t, "claw-net-free", _cut_vertex)
 
 
 def _cut_vertex(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
@@ -182,7 +183,7 @@ def decide_dfs_interval(g: Graph, t: int) -> bool:
     """On a connected interval graph, t is a DFS end-vertex iff the
     subgraph induced by N(t), taken as one graph, has a hamiltonian
     path.  Recognizes the class once (near-linear), then O(n + m)."""
-    return _decide(g, t, "interval", recognize_interval, _dfs_interval)
+    return _decide(g, t, "interval", _dfs_interval)
 
 
 def _dfs_interval(g: Graph, t: int, order: CliqueOrder, name_of=str) -> tuple[bool, str | None]:
@@ -285,16 +286,16 @@ class DispatchResult:
     classes: tuple[str, ...] = ()
 
 
-# Class -> recognizer given g and `holds`, returning the certificate or None.
-# Interval reuses chordal's PEO; a unit interval order settles claw-net-free.
+# Class -> recognizer given g and `holds`, returning the certificate or None:
+# the only way the library establishes a class.  Interval reuses chordal's
+# PEO and fails without one; a unit interval order settles claw-net-free.
 # The lambdas look each recognizer up when called, so a patched one runs.
-# Chordal's MCS (or, under a hint, dispatch) has refused a disconnected graph
-# before unit interval runs, so it skips the recognizer's own check.
 _RECOGNIZERS = {
     "chordal": lambda g, holds: recognize_chordal(g),
     "split": lambda g, holds: recognize_split(g),
-    "interval": lambda g, holds: recognize_interval(g, holds("chordal")),
-    "unit-interval": lambda g, holds: _unit_interval_order(g),
+    "interval": lambda g, holds: (None if (peo := holds("chordal")) is None
+                                  else recognize_interval(g, peo)),
+    "unit-interval": lambda g, holds: recognize_unit_interval(g),
     "claw-net-free": lambda g, holds: (holds("unit-interval") is not None
                                        or is_claw_net_free(g) or None),
 }
@@ -334,11 +335,6 @@ def _class_table(g: Graph, hint: str = "auto"):
     if hint not in _HINTS:
         raise ValueError(f"unknown class hint {hint!r} (expected one of {_HINTS})")
     certs: dict[str, object] = {}
-    if hint != "auto":
-        cert = _RECOGNIZERS[hint](g, lambda cls: None)
-        if cert is None:
-            raise ClassMismatchError(f"class hint {hint!r} failed certificate validation")
-        certs = {**dict.fromkeys(_RECOGNIZERS), **dict.fromkeys(_IMPLIES[hint], True), hint: cert}
 
     def holds(cls: str) -> object:
         if cls not in certs:
@@ -350,6 +346,12 @@ def _class_table(g: Graph, hint: str = "auto"):
                 certs[cls] = _RECOGNIZERS[cls](g, holds)
         return certs[cls]
 
+    if hint != "auto":
+        cert = _RECOGNIZERS[hint](g, holds)
+        if cert is None:
+            raise ClassMismatchError(f"class hint {hint!r} failed certificate validation")
+        certs.update({**dict.fromkeys(_RECOGNIZERS), **dict.fromkeys(_IMPLIES[hint], True),
+                      hint: cert})
     return holds, certs
 
 
@@ -396,16 +398,17 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     return result(Verdict.YES if ok else Verdict.NO, "exhaustive oracle", why, witness)
 
 
-def _decide(g: Graph, t: int, cls: str, recognize, characterization) -> bool:
-    """A public decider: checks t and connectivity, runs the class check
-    `recognize` (which may presume connectivity) and hands its
-    certificate to `characterization`.
-    Raises ClassMismatchError when the check fails."""
+def _decide(g: Graph, t: int, cls: str, characterization) -> bool:
+    """A public decider: checks t and connectivity, establishes `cls`
+    (spelled as its messages print it) by its own `_RECOGNIZERS` row, so
+    split and unit interval skip `holds`' chordal gate, and hands the
+    certificate to `characterization`.  ClassMismatchError outside it."""
     _check_target(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError(f"{cls} decider requires a connected graph")
-    cert = recognize(g)
-    if not cert:
+    holds, _ = _class_table(g)
+    cert = _RECOGNIZERS[cls.replace(" ", "-")](g, holds)
+    if cert is None:
         raise ClassMismatchError(f"graph is not {cls}")
     return characterization(g, t, cert)[0]
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .chordal import _position_map, clique_tree, maximal_cliques_chordal
 from .errors import DisconnectedGraphError, NotChordalError
-from .graph import Graph, is_connected
+from .graph import Graph
 from .search import _lbfs_picks
 
 
@@ -295,29 +295,20 @@ def check_unit_interval_order(g: Graph, order: Sequence[int]) -> bool:
     return True
 
 
-def _unit_interval_order(g: Graph) -> list[int] | None:
-    """Corneil's 3-sweep (DAM 138, 2004): an LBFS, then LBFS+ of it, then
+def recognize_unit_interval(g: Graph) -> list[int] | None:
+    """A unit interval order (contiguous closed neighborhoods), or None.
+
+    Corneil's 3-sweep (DAM 138, 2004): an LBFS, then LBFS+ of it, then
     LBFS+ of that; g is unit interval iff the third order is a unit
-    interval order.  The first order that passes the check is returned.
-    Each component is swept as a whole, so this holds per component on
-    disconnected input; `recognize_unit_interval` is this on a graph
-    checked to be connected."""
+    interval order.  The first order that passes the linear check is
+    returned, so O(n + m log Δ) for maximum degree Δ.  Each component is
+    swept as a whole, so this holds per component on disconnected input."""
     order = _lbfs(g, range(g.n))
     for _ in range(2):
         if check_unit_interval_order(g, order):
             return order
         order = _lbfs(g, order[::-1])
     return order if check_unit_interval_order(g, order) else None
-
-
-def recognize_unit_interval(g: Graph) -> list[int] | None:
-    """A unit interval order (contiguous closed neighborhoods), or None.
-
-    At most three LBFS sweeps, each followed by the linear check, so
-    O(n + m log Δ) for maximum degree Δ."""
-    if not is_connected(g):
-        raise ValueError("unit interval recognition needs a connected graph")
-    return _unit_interval_order(g)
 
 
 def unit_interval_order_ending_at(g: Graph, t: int) -> list[int] | None:
@@ -332,7 +323,7 @@ def unit_interval_order_ending_at(g: Graph, t: int) -> list[int] | None:
     n = g.n
     if not 0 <= t < n:
         raise ValueError(f"vertex {t} out of range")
-    order = _unit_interval_order(g)
+    order = recognize_unit_interval(g)
     if order is None:
         return None
     adj = g.adj

@@ -30,11 +30,17 @@ Printed, one per line:
     no characterization settles the query: the `slice` SHA-256 over the
     same fields as `answers`, and the number of its queries per (kind,
     hint, method, verdict), with the detail of each UNKNOWN, so that
-    a change of UNKNOWN text can be counted.
+    a change of UNKNOWN text can be counted;
+  * `deciders`: SHA-256 over the first corpus x the five public
+    `decide_*` functions x every target, recording the answer or
+    `raised Type: message`, with the number of calls.
 
 The interval and unit interval recognizers are memoized per graph (each
 runs at most once per graph), because exhaustive recognizers, where a
-tree still has them, are exponential on some graphs of the corpus.
+tree still has them, are exponential on some graphs of the corpus.  The
+unit interval one is whichever of `recognize_unit_interval` and the
+older `_unit_interval_order` the `deciders` module binds, so the script
+runs on trees from before and after that rename.
 """
 
 from __future__ import annotations
@@ -48,12 +54,23 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import fixtures as fx  # noqa: E402  (the script's own directory is on sys.path)
-from endvertex import SearchKind, Verdict, dispatch_endvertex  # noqa: E402
+from endvertex import (  # noqa: E402
+    SearchKind,
+    Verdict,
+    decide_dfs_claw_net_free,
+    decide_dfs_interval,
+    decide_mcs_split,
+    decide_mns_chordal,
+    decide_unit_interval,
+    dispatch_endvertex,
+)
 from endvertex import deciders  # noqa: E402
 
 FAMILIES = (fx.rand_connected_graph, fx.rand_chordal, fx.rand_split, fx.rand_interval,
             fx.rand_unit_interval, fx.rand_claw_net_free)
 HINTS = (None, "split", "chordal", "interval", "unit-interval")
+DECIDERS = (decide_mns_chordal, decide_mcs_split, decide_unit_interval,
+            decide_dfs_claw_net_free, decide_dfs_interval)
 
 
 def corpus():
@@ -85,7 +102,9 @@ def memoized(recognizer):
 
 def main() -> None:
     deciders.recognize_interval = memoized(deciders.recognize_interval)
-    deciders._unit_interval_order = memoized(deciders._unit_interval_order)
+    for name in ("recognize_unit_interval", "_unit_interval_order"):
+        if hasattr(deciders, name):
+            setattr(deciders, name, memoized(getattr(deciders, name)))
     shas = {name: hashlib.sha256() for name in ("verdicts", "witnesses", "methods", "answers")}
     methods: Counter = Counter()
     total = 0
@@ -136,6 +155,20 @@ def main() -> None:
     print(f"slice: {sum(slice_counts.values())} dispatches above the guards, {sha.hexdigest()}")
     for (kind, hint, method, answer, shown), count in sorted(slice_counts.items()):
         print(f"{kind:8} {hint:14} {method:40} {answer:8} {count:4} {shown}")
+
+    sha = hashlib.sha256()
+    total = 0
+    for g in corpus():
+        graph = sorted(g.edges())
+        for decide in DECIDERS:
+            for t in range(g.n):
+                total += 1
+                try:
+                    answer = decide(g, t)
+                except Exception as exc:  # every exception is part of the outcome
+                    answer = f"raised {type(exc).__name__}: {exc}"
+                sha.update(f"{(graph, decide.__name__, t)!r} {answer!r}\n".encode())
+    print(f"deciders: {total} calls, {sha.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -205,8 +205,6 @@ def reference_recognize_interval(g: Graph) -> CliqueOrder | None:
 
 
 def reference_recognize_unit_interval(g: Graph) -> list[int] | None:
-    if not is_connected(g):
-        raise ValueError("unit interval recognition needs a connected graph")
     return unit_interval_backtrack(g, None)
 
 

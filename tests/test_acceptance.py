@@ -18,6 +18,7 @@ import pytest
 import endvertex
 import fixtures as fx
 from endvertex import (
+    ClassMismatchError,
     CnfFormula,
     DisconnectedGraphError,
     SearchKind,
@@ -26,6 +27,7 @@ from endvertex import (
     build_mcs_gadget,
     build_mns_gadget,
     cut_vertices,
+    decide_dfs_claw_net_free,
     decide_dfs_interval,
     decide_mcs_split,
     decide_mns_chordal,
@@ -424,6 +426,40 @@ def test_chordal_hinted_mns_stage_counts(monkeypatch):
     assert got["mcs_order"] == 1, got
     assert got["peo_violation"] == 1, got
     assert got["is_connected"] <= 2, got
+
+
+def test_public_deciders_stage_counts(monkeypatch):
+    """The public deciders establish their class through dispatch's class
+    table rows: a unit interval order settles claw-net-free with no
+    (claw, net) check, interval stops after one MCS on a non-chordal
+    graph with no clique tree, and split runs its own recognizer with no
+    chordal check."""
+    counts = {name: _count_calls(monkeypatch, module, name)
+              for module, name in ((endvertex.recognize, "is_claw_net_free"),
+                                   (endvertex.recognize, "recognize_split"),
+                                   (endvertex.chordal, "recognize_chordal"),
+                                   (endvertex.chordal, "clique_tree"),
+                                   (endvertex.chordal, "mcs_order"))}
+
+    def taken():
+        """The counts since the last call, which restarts them."""
+        got = {name: c[0] for name, c in counts.items()}
+        for c in counts.values():
+            c[0] = 0
+        return got
+
+    g = fx.two_cliques(30)
+    assert decide_dfs_claw_net_free(g, 0) and not decide_dfs_claw_net_free(g, 29)
+    got = taken()
+    assert got["is_claw_net_free"] == 0, got
+    with pytest.raises(ClassMismatchError, match="^graph is not interval$"):
+        decide_dfs_interval(fx.cocktail_party(4), 0)
+    got = taken()
+    assert got["mcs_order"] == 1 and got["clique_tree"] == 0, got
+    g, nm = fx.split_example()
+    assert not decide_mcs_split(g, nm["v"])
+    got = taken()
+    assert got["recognize_split"] == 1 and got["recognize_chordal"] == 0, got
 
 
 def test_mcs_and_chordal_recognition_still_reject_disconnected_input():

@@ -317,7 +317,7 @@ def test_cli_recursion_error_is_exit_1_without_traceback(tmp_path, capsys, monke
     def recurse(g):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(endvertex.deciders, "_unit_interval_order", recurse)
+    monkeypatch.setattr(endvertex.deciders, "recognize_unit_interval", recurse)
     assert main(["endvertex", _window_file(tmp_path, 20), "--class", "unit-interval",
                  "--kind", "ldfs", "--target", "19", "--json"]) == 1
     captured = capsys.readouterr()

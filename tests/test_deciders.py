@@ -25,6 +25,7 @@ from endvertex import (
     mcs_interval_sufficient,
     recognize_chordal,
     recognize_interval,
+    recognize_split,
     recognize_unit_interval,
 )
 import endvertex.deciders as deciders
@@ -398,7 +399,7 @@ def test_auto_ldfs_and_mcs_skip_interval_recognition_on_unit_interval_graphs(mon
 def test_auto_dfs_gates_unit_interval_on_chordality(monkeypatch):
     """C_6 is not chordal, so the unit interval sweeps never run and the
     claw-net check runs once."""
-    sweeps = fx.count_calls(monkeypatch, "_unit_interval_order")
+    sweeps = fx.count_calls(monkeypatch, "recognize_unit_interval")
     checks = fx.count_calls(monkeypatch, "is_claw_net_free")
     res = dispatch_endvertex(fx.cycle(6), 0, K.DFS)
     assert res.verdict is Verdict.YES and res.classes == ("claw-net-free",)
@@ -418,8 +419,13 @@ def test_every_class_a_class_implies_passes_its_own_recognizer():
     graphs += [fx.window(n, w) for n in (2, 7, 12, 40) for w in (1, 2, 4)]
     graphs += [fx.two_cliques(k) for k in (1, 2, 3, 8, 30)]
 
+    standalone = {"chordal": recognize_chordal, "split": recognize_split,
+                  "interval": recognize_interval, "unit-interval": recognize_unit_interval}
+
     def recognized(g, cls):
-        return deciders._RECOGNIZERS[cls](g, lambda c: None) is not None
+        if cls == "claw-net-free":
+            return is_claw_net_free(g)
+        return standalone[cls](g) is not None
 
     fired = set()
     for g in graphs:
@@ -616,7 +622,6 @@ def test_interval_hinted_dfs_checks_connectivity_and_runs_mcs_once(monkeypatch):
     search inside `clique_tree`."""
     import endvertex.chordal as chordal
     import endvertex.graph as graph
-    import endvertex.recognize as recognize
 
     calls = []
 
@@ -627,7 +632,7 @@ def test_interval_hinted_dfs_checks_connectivity_and_runs_mcs_once(monkeypatch):
         return counted
 
     connected = counting("is_connected", graph.is_connected)
-    for module in (graph, deciders, recognize):
+    for module in (graph, deciders):
         monkeypatch.setattr(module, "is_connected", connected)
     monkeypatch.setattr(chordal, "mcs_order", counting("mcs_order", chordal.mcs_order))
     g = fx.rand_interval(random.Random(6009), 30)
