@@ -1,9 +1,9 @@
 """Chordal-graph machinery: MCS orders, perfect elimination orderings,
 maximal cliques and clique trees.
 
-Everything on the main path here is O(n + m): bucket-based maximum
-cardinality search, the first-later-neighbor elimination test, and the
-clique tree grown along the MCS visit order.  These back the linear-time
+Everything on the main path here is O(n + m): maximum cardinality search
+on buckets, running the first-later-neighbor elimination test as it goes,
+and the clique tree grown along its visit order.  They back the linear-time
 end-vertex deciders, so no step may fall back to anything superlinear.
 """
 
@@ -24,18 +24,27 @@ def mcs_order(g: Graph, start: int = 0) -> list[int]:
     on disconnected input the buckets run dry before every vertex is
     visited, which raises DisconnectedGraphError without a separate
     connectivity pass.  It stays apart from `run_search`'s MCS heaps
-    because at n = 1e5 it is about twice as fast (0.08-0.09 s against
-    0.17-0.23 s on a window graph, on a 2-vCPU Xeon), and class-hinted
-    chordal queries run it once each.
+    because at n = 1e5 it is faster, elimination test included (0.11-0.21 s
+    against 0.21-0.28 s on a window graph, on a 2-vCPU Xeon), and
+    class-hinted chordal queries run it once each.
     """
+    return _mcs_pass(g, start)[0]
+
+
+def _mcs_pass(g: Graph, start: int = 0) -> tuple[list[int], bool]:
+    """`mcs_order`'s search, and whether its reverse is a perfect elimination
+    ordering (Tarjan and Yannakakis, SIAM J. Comput. 1984): at each visit,
+    v's visited neighbour visited last (its first later one in the reverse,
+    as in `peo_violation`) must see the others."""
     n = g.n
     if n == 0:
-        return []
+        return [], True
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} out of range")
     adj = g.adj
     count = [0] * n
     visited = bytearray(n)
+    latest = [start] * n  # the last visited vertex to bump a vertex's count
     # A vertex's count never exceeds its degree, so the bucket table only
     # needs max-degree-plus-one slots, not n.
     max_degree = max((len(nbrs) for nbrs in adj), default=0)
@@ -45,7 +54,7 @@ def mcs_order(g: Graph, start: int = 0) -> list[int]:
     for w in adj[start]:
         count[w] = 1
         buckets[1].append(w)
-    maxc = 1
+    maxc, peo = 1, True
     for _ in range(n - 1):
         v = -1
         while v < 0:
@@ -60,14 +69,20 @@ def mcs_order(g: Graph, start: int = 0) -> list[int]:
                 v = cand
         visited[v] = 1
         order.append(v)
+        earlier = []
         for w in adj[v]:
-            if not visited[w]:
+            if visited[w]:
+                earlier.append(w)
+            else:
                 c = count[w] + 1
                 count[w] = c
+                latest[w] = v
                 buckets[c].append(w)
                 if c > maxc:
                     maxc = c
-    return order
+        if peo and len(earlier) > 1:
+            peo = len(adj[latest[v]].intersection(earlier)) == len(earlier) - 1
+    return order, peo
 
 
 def _position_map(order, n: int) -> list[int]:
@@ -165,16 +180,12 @@ def recognize_chordal(g: Graph) -> list[int] | None:
     """A perfect elimination ordering, or None when g is not chordal.
 
     The candidate PEO is the reversed MCS order (chordal iff it passes
-    the elimination test).  Use `chordal_hole` for a refusal certificate.
-    Raises DisconnectedGraphError (from `mcs_order`) on disconnected
-    input.
+    the elimination test, which runs inside the one MCS pass, as each
+    vertex is visited).  Use `chordal_hole` for a refusal certificate.
+    Raises DisconnectedGraphError (from the search) on disconnected input.
     """
-    if g.n == 0:
-        return []
-    order = list(reversed(mcs_order(g)))
-    if peo_violation(g, order) is None:
-        return order
-    return None
+    order, peo = _mcs_pass(g)
+    return order[::-1] if peo else None
 
 
 def chordal_hole(g: Graph) -> list[int] | None:
@@ -186,13 +197,10 @@ def chordal_hole(g: Graph) -> list[int] | None:
     and Yannakakis 1984), so no search is needed; the cycle is checked
     before it is returned.  O(n + m).  Returns None on chordal input.
     """
-    if g.n == 0:
+    order, peo = _mcs_pass(g)
+    if peo:
         return None
-    order = list(reversed(mcs_order(g)))
-    witness = peo_violation(g, order)
-    if witness is None:
-        return None
-    v, u, x = witness
+    v, u, x = peo_violation(g, order[::-1])
     blocked = (g.adj[v] | {v}) - {u, x}
     path = _shortest_path_avoiding(g, u, x, blocked)
     if path is None or not is_chordless_cycle(g, [v] + path):

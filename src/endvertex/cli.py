@@ -22,11 +22,12 @@ import argparse
 import gc
 import json
 import sys
+from pathlib import Path
 
 from .chordal import chordal_hole
 from .deciders import _HINTS, Verdict, _class_table, dispatch_endvertex
 from .errors import GuardExceededError
-from .graph import Graph
+from .graph import Graph, from_lists
 from .oracle import (
     DEFAULT_GUARD_PREFIX,
     DEFAULT_GUARD_SET_STATE,
@@ -67,7 +68,8 @@ def parse_graph_text(text: str, source: str = "<input>") -> tuple[Graph, list[st
     """Parse the edge-list format; returns the graph and its name table
     (None when vertices are anonymous indices)."""
     names: list[str] = []
-    lines = text.splitlines()
+    lines = iter(text.splitlines())
+    del text  # the last reference when `load_graph` calls, so freed before the build
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -95,9 +97,9 @@ def parse_graph_text(text: str, source: str = "<input>") -> tuple[Graph, list[st
     # One callable turns an endpoint token into a vertex id; the messages
     # for a token it rejects are worked out only when one fails.
     convert = {name: i for i, name in enumerate(names)}.__getitem__ if names else int
-    us: list[int] = []
-    vs: list[int] = []
-    for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
+    ids = list(range(n))
+    adj: list[list[int]] = [[] for _ in ids]
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         parts = raw.split()
         if len(parts) != 2 or parts[0][0] == "#":
             if not parts:
@@ -122,16 +124,15 @@ def parse_graph_text(text: str, source: str = "<input>") -> tuple[Graph, list[st
             raise InputError(f"{source}:{lineno}: edge endpoint out of range 0..{n - 1}")
         if u == v:
             raise InputError(f"{source}:{lineno}: self-loop at vertex {parts[0]}")
-        us.append(u)
-        vs.append(v)
-    if len(us) != m:
-        raise InputError(f"{source}: size line promises {m} edges, found {len(us)}")
-    return Graph.from_edges(n, zip(us, vs)), (names or None)
+        adj[u].append(ids[v])
+        adj[v].append(ids[u])
+    found = sum(map(len, adj)) // 2
+    if found != m:
+        raise InputError(f"{source}: size line promises {m} edges, found {found}")
+    return from_lists(adj), (names or None)
 
 
 def load_graph(path: str) -> tuple[Graph, list[str] | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     # The build allocates a few GC-tracked containers per vertex, none in a
     # reference cycle, and each full collection would rescan the growing
     # graph.  The collector's state is process-wide, so the CLI (which owns
@@ -139,7 +140,7 @@ def load_graph(path: str) -> tuple[Graph, list[str] | None]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return parse_graph_text(text, source=path)
+        return parse_graph_text(Path(path).read_text(encoding="utf-8"), source=path)
     finally:
         if enabled:
             gc.enable()

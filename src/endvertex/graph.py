@@ -45,19 +45,16 @@ class Graph:
         """Build a graph on n vertices from an edge list (duplicates collapse)."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[list[int]] = [[] for _ in range(n)]
+        ids = list(range(n))
+        adj: list[list[int]] = [[] for _ in ids]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
-        g = cls.__new__(cls)
-        # frozenset(set(...)) and not frozenset(list): a frozenset copied
-        # from a set is presized, one built from a list keeps the growth slack.
-        g.adj = tuple(frozenset(set(nbrs)) for nbrs in adj)
-        return g
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        return from_lists(adj)
 
     @property
     def n(self) -> int:
@@ -93,6 +90,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def from_lists(adj: list) -> Graph:
+    """The graph whose vertex v has the neighbours in the list adj[v],
+    built from checked edges with one shared int object per vertex id (so
+    the graph holds n of them).  Each list is dropped once its set exists."""
+    for v, nbrs in enumerate(adj):
+        # A frozenset copied from a set is presized, one from a list is not.
+        adj[v] = frozenset(set(nbrs))
+    g = Graph.__new__(Graph)
+    g.adj = tuple(adj)
+    return g
 
 
 def is_simplicial(g: Graph, t: int) -> bool:

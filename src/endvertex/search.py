@@ -54,7 +54,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterator, Sequence
 
 from .chordal import _position_map
@@ -572,6 +572,9 @@ def _mns_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Iter
             if not maxima and empty in size:
                 maxima.add(empty)
                 heappush(tops, (groups[empty][0], empty))
+        if len(tops) > 2 * len(maxima):  # stale entries would leave only at the top
+            tops = [(groups[lab][0], lab) for lab in maxima]
+            heapify(tops)
         while tops:
             r, lab = tops[0]
             v = by_rank[r]

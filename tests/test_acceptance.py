@@ -411,20 +411,21 @@ def _count_calls(monkeypatch, module, name: str) -> list[int]:
 
 def test_chordal_hinted_mns_stage_counts(monkeypatch):
     """One chordal-hinted MNS dispatch establishes the class once and
-    decides from the components of G - N[t]: no clique tree, one MCS,
-    one elimination test, at most two connectivity passes."""
+    decides from the components of G - N[t]: no clique tree, one MCS
+    pass with the elimination test inside it and none after it, at most
+    two connectivity passes."""
     g = fx.window(200)
     counts = {name: _count_calls(monkeypatch, module, name)
               for module, name in ((endvertex.chordal, "clique_tree"),
-                                   (endvertex.chordal, "mcs_order"),
+                                   (endvertex.chordal, "_mcs_pass"),
                                    (endvertex.chordal, "peo_violation"),
                                    (endvertex.graph, "is_connected"))}
     res = dispatch_endvertex(g, 199, K.MNS, class_hint="chordal")
     assert res.verdict is Verdict.YES and res.method == "chordal MNS characterization"
     got = {name: c[0] for name, c in counts.items()}
     assert got["clique_tree"] == 0, got
-    assert got["mcs_order"] == 1, got
-    assert got["peo_violation"] == 1, got
+    assert got["_mcs_pass"] == 1, got
+    assert got["peo_violation"] == 0, got
     assert got["is_connected"] <= 2, got
 
 
@@ -439,7 +440,7 @@ def test_public_deciders_stage_counts(monkeypatch):
                                    (endvertex.recognize, "recognize_split"),
                                    (endvertex.chordal, "recognize_chordal"),
                                    (endvertex.chordal, "clique_tree"),
-                                   (endvertex.chordal, "mcs_order"))}
+                                   (endvertex.chordal, "_mcs_pass"))}
 
     def taken():
         """The counts since the last call, which restarts them."""
@@ -455,7 +456,7 @@ def test_public_deciders_stage_counts(monkeypatch):
     with pytest.raises(ClassMismatchError, match="^graph is not interval$"):
         decide_dfs_interval(fx.cocktail_party(4), 0)
     got = taken()
-    assert got["mcs_order"] == 1 and got["clique_tree"] == 0, got
+    assert got["_mcs_pass"] == 1 and got["clique_tree"] == 0, got
     g, nm = fx.split_example()
     assert not decide_mcs_split(g, nm["v"])
     got = taken()

@@ -4,9 +4,12 @@ import pytest
 
 import fixtures as fx
 from endvertex import (
+    DisconnectedGraphError,
+    Graph,
     NotChordalError,
     chordal_hole,
     clique_tree,
+    is_connected,
     maximal_cliques_chordal,
     mcs_order,
     peo_violation,
@@ -70,6 +73,34 @@ def test_recognize_chordal_matches_bruteforce():
         else:
             hole = chordal_hole(g)
             assert hole is not None and is_chordless_cycle(g, hole)
+
+
+def test_recognize_chordal_is_the_checked_reversed_mcs_order():
+    """The elimination test run inside the MCS pass agrees with
+    `peo_violation` on the reversed MCS order: that order on chordal
+    graphs, None otherwise, DisconnectedGraphError on disconnected ones."""
+    rng = random.Random(2007)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(1, [])]
+    graphs += [fx.cycle(k) for k in range(4, 13)]
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        graphs.append(fx.rand_chordal(rng, n, q=rng.random()))
+        graphs.append(fx.rand_connected_graph(rng, n))
+        p = rng.uniform(0.1, 0.6)
+        graphs.append(Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < p]))
+    outcomes = {"chordal": 0, "not chordal": 0, "disconnected": 0}
+    for g in graphs:
+        if not is_connected(g):
+            outcomes["disconnected"] += 1
+            with pytest.raises(DisconnectedGraphError):
+                recognize_chordal(g)
+            continue
+        order = mcs_order(g)[::-1]
+        want = order if peo_violation(g, order) is None else None
+        outcomes["chordal" if want is not None else "not chordal"] += 1
+        assert recognize_chordal(g) == want, g.adj
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_chordless_cycle_check_matches_the_pairwise_definition():

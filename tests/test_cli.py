@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -185,15 +186,17 @@ def test_cli_recognize(fig5_path, capsys):
 
 
 def test_cli_recognize_runs_mcs_once(tmp_path, capsys, monkeypatch):
-    """Interval recognition reuses the PEO chordal recognition found."""
+    """Interval recognition reuses the PEO chordal recognition found:
+    one MCS pass, counted at the search both `mcs_order` and
+    `recognize_chordal` run."""
     calls = []
-    original = endvertex.chordal.mcs_order
+    original = endvertex.chordal._mcs_pass
 
     def counted(g, *args):
         calls.append(g)
         return original(g, *args)
 
-    monkeypatch.setattr(endvertex.chordal, "mcs_order", counted)
+    monkeypatch.setattr(endvertex.chordal, "_mcs_pass", counted)
     path = tmp_path / "window.graph"
     path.write_text(graph_to_text(Graph.from_edges(
         12, [(i, j) for i in range(12) for j in range(i + 1, min(i + 4, 12))])))
@@ -496,6 +499,26 @@ def test_load_graph_restores_the_collector(tmp_path):
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_load_graph_peaks_near_the_graph_it_returns(tmp_path):
+    """Loading a 20 000-vertex window file allocates at most 1.25 times
+    what the returned graph holds: the file text and the line list are
+    gone before the adjacency sets are built, and each adjacency list
+    goes once its set exists.  Those sets share one int object per
+    vertex id."""
+    n = 20_000
+    path = _window_file(tmp_path, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g, names = load_graph(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert names is None and g.n == n
+    assert peak <= 1.25 * held, (peak, held)
+    assert len({id(w) for nbrs in g.adj for w in nbrs}) <= n
 
 
 @pytest.mark.parametrize("module", ["endvertex", "endvertex.cli"])

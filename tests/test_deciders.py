@@ -335,7 +335,7 @@ def test_auto_interval_recognition_reuses_the_chordal_peo(monkeypatch):
     import endvertex.chordal as chordal
 
     calls = []
-    original = chordal.mcs_order
+    original = chordal._mcs_pass
 
     def counted(g, *args):
         calls.append(g)
@@ -347,7 +347,7 @@ def test_auto_interval_recognition_reuses_the_chordal_peo(monkeypatch):
         g = fx.rand_interval(rng, 12)
         if not is_split(g) and recognize_unit_interval(g) is None:
             graphs.append(g)
-    monkeypatch.setattr(chordal, "mcs_order", counted)
+    monkeypatch.setattr(chordal, "_mcs_pass", counted)
     for g in graphs:
         calls.clear()
         res = dispatch_endvertex(g, 0, K.MCS)
@@ -634,11 +634,11 @@ def test_interval_hinted_dfs_checks_connectivity_and_runs_mcs_once(monkeypatch):
     connected = counting("is_connected", graph.is_connected)
     for module in (graph, deciders):
         monkeypatch.setattr(module, "is_connected", connected)
-    monkeypatch.setattr(chordal, "mcs_order", counting("mcs_order", chordal.mcs_order))
+    monkeypatch.setattr(chordal, "_mcs_pass", counting("_mcs_pass", chordal._mcs_pass))
     g = fx.rand_interval(random.Random(6009), 30)
     t = max(range(g.n), key=lambda v: len(g.adj[v]))
     for query in (lambda: dispatch_endvertex(g, t, K.DFS, class_hint="interval").verdict,
                   lambda: decide_dfs_interval(g, t)):
         calls.clear()
         query()
-        assert sorted(calls) == ["is_connected", "mcs_order"]
+        assert sorted(calls) == ["_mcs_pass", "is_connected"]

@@ -21,7 +21,7 @@ from endvertex import (
     run_search,
     validate_order,
 )
-from endvertex.search import SearchReplay
+from endvertex.search import SearchReplay, _mns_picks
 from reference import reference_run_search, reference_validate_order
 
 K = SearchKind
@@ -474,6 +474,24 @@ def test_mns_doubles_when_n_doubles_on_sparse_graphs():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_mns_tops_heap_stays_within_twice_the_maxima():
+    """At every pick of an MNS run on a 4e4-vertex random sparse graph
+    (average degree 10), `_mns_picks`' `tops` heap holds at most twice as
+    many entries as there are maximal labels: it is rebuilt from them
+    when it outgrows that.  Without the rebuild, stale entries reached
+    about three per maximum on this family."""
+    g = fx.rand_sparse_connected(random.Random(3012), 40_000, 10)
+    ids = list(range(g.n))
+    picks = _mns_picks(g.adj, ids, ids, 0)
+    worst = 0.0
+    for count, _ in enumerate(picks, 1):
+        state = picks.gi_frame.f_locals
+        tops, maxima = len(state["tops"]), len(state["maxima"])
+        assert tops <= 2 * maxima + 1, (count, tops, maxima)
+        worst = max(worst, tops / maxima)
+    assert count == g.n and worst > 1.5, (count, worst)
 
 
 def test_recognizers_double_when_n_doubles():
