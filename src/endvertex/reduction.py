@@ -16,8 +16,8 @@ Two constructions:
   t sees exactly the clause vertices.  48k + 3l - 25 vertices; the
   target is an MCS end-vertex iff the formula is satisfiable.
 
-Witness emitters mirror the respective sufficiency arguments and their
-output re-validates against the search engine.  Role maps tie every
+Each witness emitter is one run of the search engine guided through the
+phases of its sufficiency argument, and checked phase by phase.  Role maps tie every
 vertex back to the construction so tests can assert adjacency rules
 without reverse-engineering ids.
 """
@@ -188,6 +188,20 @@ def _lit_str(var: int, pol: bool) -> str:
     return f"x{var}" if pol else f"~x{var}"
 
 
+def _guided_order(kind: SearchKind, g: Graph, phases: list[list[int]]) -> list[int]:
+    """The `kind` run on g that prefers the phases in turn, each vertex in
+    its phase's order, checked block by block: it raises where the run
+    leaves a phase early, because no vertex left in the phase is eligible
+    (the construction or its argument would be wrong)."""
+    preference = tuple(v for phase in phases for v in phase)
+    order = run_search(kind, g, policy=FixedPreference(preference))
+    blocks = iter(order)
+    if any(set(islice(blocks, len(phase))) != set(phase) for phase in phases):
+        rule = "maximum" if kind is SearchKind.MCS else "maximal"
+        raise AssertionError(f"witness construction stalled: no phase vertex holds a {rule} label")
+    return order
+
+
 # ---------------------------------------------------------------------------
 # MNS gadget (weakly chordal)
 
@@ -246,20 +260,22 @@ def mns_gadget_edge_count(k: int, l: int) -> int:
 
 def witness_order_mns(cnf: CnfFormula, assignment: dict[int, bool]) -> list[int]:
     """An MNS order of the gadget ending at t, built from a satisfying
-    assignment: s, the assignment's literal per variable, b, the
-    remaining literals, the clause vertices, then t."""
+    assignment: one MNS run that prefers s, the assignment's literal per
+    variable, b, the remaining literals, the clause vertices, then t, and
+    raises where it leaves one of these phases early."""
     if not assignment_satisfies(cnf, assignment):
         raise ValueError("assignment does not satisfy the formula")
     art = build_mns_gadget(cnf)
     k = cnf.variable_count
     by_role = {role: v for v, role in art.roles.items()}
-    order = [by_role[("s",)]]
-    order.extend(by_role[("literal", i, assignment[i])] for i in range(1, k + 1))
-    order.append(by_role[("b",)])
-    order.extend(by_role[("literal", i, not assignment[i])] for i in range(1, k + 1))
-    order.extend(by_role[("clause", j)] for j in range(1, cnf.clause_count + 1))
-    order.append(art.target)
-    return order
+    return _guided_order(SearchKind.MNS, art.graph, [
+        [by_role[("s",)]],
+        [by_role[("literal", i, assignment[i])] for i in range(1, k + 1)],
+        [by_role[("b",)]],
+        [by_role[("literal", i, not assignment[i])] for i in range(1, k + 1)],
+        [by_role[("clause", j)] for j in range(1, cnf.clause_count + 1)],
+        [art.target],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +416,7 @@ def witness_order_mcs(cnf: CnfFormula, assignment: dict[int, bool]) -> list[int]
     which raises (the construction or the argument would be wrong).
     """
     g, phases = _mcs_witness_phases(cnf, assignment)
-    preference = tuple(v for phase in phases for v in sorted(phase))
-    order = run_search(SearchKind.MCS, g, policy=FixedPreference(preference))
-    blocks = iter(order)
-    if any(set(islice(blocks, len(phase))) != set(phase) for phase in phases):
-        raise AssertionError(
-            "witness construction stalled: no phase vertex holds a maximum label")
-    return order
+    return _guided_order(SearchKind.MCS, g, [sorted(phase) for phase in phases])
 
 
 def _mcs_witness_phases(cnf: CnfFormula,

@@ -28,16 +28,16 @@ eligible.
 
 A tie-break policy ranks the vertices; `run_search` always visits the
 eligible vertex of least rank, and `validate_order` is the same run with
-each vertex ranked by its position in the given ordering.  One engine
-per kind, none of which keeps these position bitmasks:
+each vertex ranked by its position in the given ordering.  Four engines,
+none of which keeps these position bitmasks:
 
   Generic, MCS  lazy heaps of ranks per visited-neighbour count,
                 O((n + m) log n)
   BFS, DFS      a queue / stack over rank-sorted neighbourhoods, O(n + m)
-  LBFS          partition refinement, sorting each visit's unvisited
-                neighbours, O(n + m log Δ) for maximum degree Δ; the
-                recognizers' LBFS sweeps run it too
-  LDFS          a stack of partition classes, O(n + m log n)
+  LBFS, LDFS    partition refinement of one list of the unvisited
+                vertices, sorting each visit's unvisited neighbours,
+                O(n + m log Δ) for maximum degree Δ; the recognizers'
+                LBFS sweeps run it too
   MNS           groups of equal label (the set of visited neighbours),
                 the inclusion-maximal labels and a lazy heap over them,
                 kept incrementally; a step costs about the degrees around
@@ -301,16 +301,14 @@ def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
         return _count_picks(g.adj, rank, by_rank, first, mcs=kind is SearchKind.MCS)
     if kind is SearchKind.MNS:
         return _mns_picks(g.adj, rank, by_rank, first)
-    if kind is SearchKind.LBFS:
-        return _lbfs_picks(g.adj, rank, by_rank, first)
-    # For BFS, DFS and LDFS, one bucket pass lists every neighbourhood in
-    # falling rank order, so the best-ranked neighbour is at the end.
+    if kind is SearchKind.LBFS or kind is SearchKind.LDFS:
+        return _refine_picks(g.adj, rank, by_rank, first, depth=kind is SearchKind.LDFS)
+    # For BFS and DFS, one bucket pass lists every neighbourhood in falling
+    # rank order, so the best-ranked neighbour is at the end.
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u in reversed(by_rank):
         for w in g.adj[u]:
             adj[w].append(u)
-    if kind is SearchKind.LDFS:
-        return _ldfs_picks(adj, by_rank, first)
     return _scan_picks(adj, first, depth=kind is SearchKind.DFS)
 
 
@@ -372,17 +370,21 @@ def _scan_picks(adj: list[list[int]], first: int, depth: bool) -> Iterator[int]:
         active.append(v)
 
 
-def _lbfs_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Iterator[int]:
-    """Partition refinement (Habib, McConnell, Paul and Viennot 2000) on one
-    linked list of the unvisited vertices: the classes of equal label are
-    runs of it, largest label first and each in rank order, so after `first`
-    (unlinked wherever it stands) the head is the next vertex.  Visiting v
-    moves its unvisited neighbours, in rank order, to the end of a new class
-    just before their old one; a class's stamp names the visit that last
-    split it, and `kid` the class split off.  State is O(n) (class ids are
-    recycled) and a visit sorts its unvisited neighbours only if it has two
-    or more, so O(n + m log Δ).  Every label is maximal once a component is
-    done, so it goes on to the next one and never stops early."""
+def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
+                  depth: bool) -> Iterator[int]:
+    """Partition refinement (Habib, McConnell, Paul and Viennot 2000; Corneil
+    and Krueger 2008) on one linked list of the unvisited vertices: the
+    classes of equal label are runs of it, largest label first and each in
+    rank order, so after `first` (unlinked wherever it stands) the head is
+    the next vertex.  Visiting v sorts its unvisited neighbours by rank,
+    then stably by class, and moves each class's group, in rank order, into
+    a new class: LBFS puts it just before the old class, LDFS in front of
+    every class.  Class ids are never reused, so LDFS's list holds them in
+    falling order; moving the groups oldest class first, each to the
+    current front, keeps the new classes in their old classes' order.  A
+    visit sorts only if it has two or more unvisited neighbours, so
+    O(n + m log Δ).  Every label is maximal once a component is done, so it
+    goes on to the next one and never stops early."""
     n = len(adj)
     nxt = [0] * (n + 1)  # the list runs from the sentinel n back to it
     prv = [0] * (n + 1)
@@ -391,10 +393,7 @@ def _lbfs_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Ite
         nxt[a] = b
         prv[b] = a
     cls = [0] * n + [-1]  # -1 once visited, and for the sentinel
-    head = [by_rank[0]] * n  # class -> its first vertex
-    kid = [0] * n  # class -> the class its stamp's visit split off it
-    stamp = [-1] * n
-    free = list(range(n - 1, 0, -1))  # ids of empty classes
+    head = [by_rank[0]]  # class -> its first vertex, kept exact for LBFS; LDFS needs its length
     v = first
     while True:
         yield v
@@ -405,24 +404,22 @@ def _lbfs_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Ite
         nxt[p] = u
         prv[u] = p
         if head[c] == v:  # else v is a `first` the ranking does not put first
-            if cls[u] == c:
-                head[c] = u
-            else:
-                free.append(c)
+            head[c] = u
         nbrs = [w for w in adj[v] if cls[w] >= 0]
         if len(nbrs) > 1:
             nbrs.sort(key=rank.__getitem__)
+            nbrs.sort(key=cls.__getitem__)
+        c = -1
         for w in nbrs:
-            c = cls[w]
-            if stamp[c] == v:
-                d = kid[c]
-            else:
-                stamp[c] = v
-                d = kid[c] = free.pop()
-                head[d] = w
-            f = head[c]
+            if cls[w] != c:  # the first of a group: open its new class
+                c = cls[w]
+                f = nxt[n] if depth else head[c]  # the group goes just before f
+                d = len(head)
+                head.append(w)
             u = nxt[w]
-            if w != f:  # else w already follows the end of d
+            if w == f:  # w already follows the group's earlier vertices
+                f = head[c] = u
+            else:
                 p = prv[w]
                 nxt[p] = u
                 prv[u] = p
@@ -431,57 +428,10 @@ def _lbfs_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Ite
                 prv[w] = p
                 nxt[w] = f
                 prv[f] = w
-            elif cls[u] == c:
-                head[c] = u
-            else:
-                free.append(c)
             cls[w] = d
         v = nxt[n]
         if v == n:
             return
-
-
-def _ldfs_picks(adj: list[list[int]], by_rank: Sequence[int], first: int) -> Iterator[int]:
-    """A stack of partition classes of equal label, largest label on top, so
-    the top class is the eligible set.  Visiting v raises each unvisited
-    neighbour above every other vertex, so it moves into one new class per
-    touched class, pushed in the touched classes' stack order; class ids
-    rise up the stack, so that order is the sorted ids.  A class is a chain
-    of entries in rising rank order, in flat lists (no allocation per
-    class); an entry whose vertex was visited or moved on is stale, and a
-    class with no live entry is popped when it reaches the top."""
-    cls = [0] * len(adj)  # -1 once visited
-    vert = list(by_rank)
-    after = list(range(1, len(adj))) + [-1]
-    head = [0]
-    stack = [0]
-    v = first
-    while True:
-        yield v
-        cls[v] = -1
-        nbrs = [w for w in adj[v] if cls[w] >= 0]  # falling rank
-        kids = dict.fromkeys(map(cls.__getitem__, nbrs))
-        for c in sorted(kids):
-            kids[c] = len(head)
-            stack.append(len(head))
-            head.append(-1)
-        for w in nbrs:
-            d = cls[w] = kids[cls[w]]
-            after.append(head[d])
-            head[d] = len(vert)
-            vert.append(w)
-        while stack:
-            top = stack[-1]
-            e = head[top]
-            while e >= 0 and cls[vert[e]] != top:
-                e = after[e]
-            head[top] = e
-            if e >= 0:
-                break
-            stack.pop()
-        else:
-            return
-        v = vert[e]
 
 
 def _mns_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Iterator[int]:

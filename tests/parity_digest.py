@@ -5,12 +5,13 @@ Usage, from the root of a checkout:
     python3 tests/parity_digest.py
 
 It imports `endvertex` from that checkout's `src/`.  Two trees whose
-`run_search`, `validate_order`, `witness_order_mcs`, exhaustive oracle,
-`eligible_set` and randomized probe give the same outputs (orders,
-verdicts, violation positions, end-vertex sets, witnesses, hit counts,
-exception types and messages) print the same digest, so a change that must keep every output
-is checked by running this script on the change and on its parent.  The
-name has no `test_` prefix: pytest does not collect it.
+`run_search`, `validate_order`, `witness_order_mcs`, `witness_order_mns`,
+exhaustive oracle, `eligible_set` and randomized probe give the same
+outputs (orders, verdicts, violation positions, end-vertex sets,
+witnesses, hit counts, exception types and messages) print the same
+digest, so a change that must keep every output is checked by running
+this script on the change and on its parent.  The name has no `test_`
+prefix: pytest does not collect it.
 
 Corpus (everything drawn from fixed seeds):
   * 3000 random graphs with n <= 9, 40 % drawn without a spanning tree
@@ -23,8 +24,9 @@ Corpus (everything drawn from fixed seeds):
   * 60 graphs with n = 30-150 (random connected, random chordal, windows
     of width 1-6) whose `LowestId`, `HighestId`, `FixedPreference` and
     `SeededRandom` orders of every kind are validated under all 7 kinds;
-  * `witness_order_mcs` on the running instance and 24 random formulas
-    (k = 3-5) under every assignment (unsatisfying ones raise);
+  * `witness_order_mcs` and `witness_order_mns` on the running instance
+    and 24 random formulas (k = 3-5) under every assignment (unsatisfying
+    ones raise);
   * the oracle on 400 random graphs with n <= 8, 40 % of them drawn
     without a spanning tree: for every kind the end-vertex set with a
     free and a fixed start, every target's witness, MCS/MNS terminal
@@ -64,6 +66,7 @@ from endvertex import (  # noqa: E402
     run_search,
     validate_order,
     witness_order_mcs,
+    witness_order_mns,
 )
 from reference import terminal_orders_exhaustive  # noqa: E402
 
@@ -150,7 +153,9 @@ def witnesses(d: Digest) -> None:
                                      for k in (3, 4, 5) for _ in range(8)]
     for cnf in formulas:
         for bits in product((True, False), repeat=cnf.variable_count):
-            d.record(witness_order_mcs, cnf, dict(zip(range(1, cnf.variable_count + 1), bits)))
+            assignment = dict(zip(range(1, cnf.variable_count + 1), bits))
+            d.record(witness_order_mcs, cnf, assignment)
+            d.record(witness_order_mns, cnf, assignment)
 
 
 def terminal_orders(*args, **kwargs) -> list[list[int]]:

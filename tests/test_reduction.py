@@ -126,6 +126,10 @@ def test_witness_order_mns():
     assert order[5] == by_role[("b",)]
     with pytest.raises(ValueError):
         witness_order_mns(RUNNING_INSTANCE, {1: True, 2: False, 3: True, 4: False})
+    # b is not adjacent to s, so after s its empty label is not maximal.
+    rest = [v for v in range(art.graph.n) if v not in (order[0], order[5])]
+    with pytest.raises(AssertionError, match="no phase vertex holds a maximal label"):
+        reduction._guided_order(K.MNS, art.graph, [[order[0]], [order[5]], rest])
 
 
 def test_mns_round_trip_small_sample():

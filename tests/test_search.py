@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -351,12 +352,13 @@ def _disconnected_graph(rng, n):
     return Graph.from_edges(n, edges)
 
 
-def test_ldfs_and_mns_engines_match_the_reference_at_mid_size():
-    """LDFS and MNS `run_search` and `validate_order` against the replay
-    reference on 60 graphs with n = 30-150: random sparse, random chordal,
-    windows of width 1-6 and, for `validate_order` only, disconnected
-    ones.  Every order of each policy is validated as is and with one
-    adjacent swap."""
+def test_lexicographic_and_mns_engines_match_the_reference_at_mid_size():
+    """LBFS, LDFS and MNS `run_search` and `validate_order` against the
+    replay reference on 60 graphs with n = 30-150: random sparse, random
+    chordal, windows of width 1-6 and, for `validate_order` only,
+    disconnected ones.  Each policy runs with a free start and with a
+    fixed one it does not rank first.  Every order is validated as is and
+    with one adjacent swap."""
     rng = random.Random(3008)
     for trial in range(60):
         n = rng.randint(30, 150)
@@ -370,16 +372,17 @@ def test_ldfs_and_mns_engines_match_the_reference_at_mid_size():
         else:
             g = _disconnected_graph(rng, n)
         policies = (LOWEST_ID, HIGHEST_ID, FixedPreference(tuple(rng.sample(range(n), n))))
-        for kind in (K.LDFS, K.MNS):
+        for kind in (K.LBFS, K.LDFS, K.MNS):
             if family == 3:
                 orders = [_replay_order(kind, g, rng)]
             else:
                 orders = []
                 for policy in policies:
-                    order = run_search(kind, g, policy=policy)
-                    assert order == reference_run_search(kind, g, policy=policy), \
-                        (trial, kind, policy)
-                    orders.append(order)
+                    for start in (None, policy.priority(n)[rng.randrange(1, n)]):
+                        order = run_search(kind, g, start=start, policy=policy)
+                        assert order == reference_run_search(kind, g, start=start, policy=policy), \
+                            (trial, kind, policy, start)
+                        orders.append(order)
             for order in orders:
                 swapped = order[:]
                 i = rng.randrange(n - 1)
@@ -387,6 +390,27 @@ def test_ldfs_and_mns_engines_match_the_reference_at_mid_size():
                 for o in (order, swapped):
                     assert validate_order(kind, g, o) == reference_validate_order(kind, g, o), \
                         (trial, kind, o)
+
+
+def test_ldfs_needs_no_more_memory_than_lbfs():
+    """The traced peak of an LDFS `run_search` is at most 1.5 times that of
+    LBFS on a 2e4-vertex window and a sparse random graph, under a random
+    preference: both refine one linked list of the unvisited vertices, in
+    O(n) state besides one entry per new class."""
+    rng = random.Random(3013)
+    n = 20_000
+    for g in (fx.window(n), fx.rand_sparse_connected(rng, n, 5)):
+        policy = FixedPreference(tuple(rng.sample(range(n), n)))
+        peak = {}
+        for kind in (K.LBFS, K.LDFS):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_search(kind, g, policy=policy)
+                peak[kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak[K.LDFS] <= 1.5 * peak[K.LBFS], peak
 
 
 def test_run_search_and_validate_order_never_replay(monkeypatch):
