@@ -212,6 +212,8 @@ def hamiltonian_path(g: Graph, order: CliqueOrder, vertices: Iterable[int]) -> l
     keep = frozenset(vertices)
     if not keep:
         return []
+    _check_target(g, min(keep))
+    _check_target(g, max(keep))
     # Later cliques overwrite earlier ones: each vertex keeps its last.
     end = {v: (i, v) for i, c in enumerate(order.cliques) for v in c & keep}
     v = min(keep, key=end.__getitem__)

@@ -47,13 +47,19 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         ids = list(range(n))
         adj: list[list[int]] = [[] for _ in ids]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(ids[v])
-            adj[v].append(ids[u])
+        u = v = 0
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                adj[u].append(ids[v])
+                adj[v].append(ids[u])
+        except TypeError:
+            if hasattr(u, "__index__") and hasattr(v, "__index__"):
+                raise  # not an endpoint's fault: an edge that is no pair
+            raise ValueError(f"edge ({u!r},{v!r}) out of range 0..{n - 1}") from None
         return from_lists(adj)
 
     @property

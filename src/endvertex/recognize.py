@@ -18,7 +18,7 @@ from typing import Sequence
 from .chordal import _position_map, clique_tree, maximal_cliques_chordal
 from .errors import DisconnectedGraphError, NotChordalError
 from .graph import Graph
-from .search import _refine_picks
+from .search import SearchKind, _refine_picks
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def _lbfs(g: Graph, by_rank: Sequence[int]) -> list[int]:
     first in `by_rank`, so by_rank = reversed(sigma) gives LBFS+(sigma).
     It finishes one component before it starts the next."""
     rank = _position_map(by_rank, g.n)
-    return list(_refine_picks(g.adj, rank, by_rank, by_rank[0], depth=False)) if by_rank else []
+    return list(_refine_picks(g.adj, rank, by_rank, by_rank[0], SearchKind.LBFS)) if by_rank else []
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,19 @@ eligible.
 
 A tie-break policy ranks the vertices; `run_search` always visits the
 eligible vertex of least rank, and `validate_order` is the same run with
-each vertex ranked by its position in the given ordering.  Four engines,
+each vertex ranked by its position in the given ordering.  Three engines,
 none of which keeps these position bitmasks:
 
-  Generic, MCS  lazy heaps of ranks per visited-neighbour count,
-                O((n + m) log n)
-  BFS, DFS      a queue / stack over rank-sorted neighbourhoods, O(n + m)
-  LBFS, LDFS    partition refinement of one list of the unvisited
-                vertices, sorting each visit's unvisited neighbours,
-                O(n + m log Δ) for maximum degree Δ; the recognizers'
-                LBFS sweeps run it too
-  MNS           groups of equal label (the set of visited neighbours),
-                the inclusion-maximal labels and a lazy heap over them,
-                kept incrementally; a step costs about the degrees around
-                it, not linear in general (see `_mns_picks`)
+  Generic, MCS      lazy heaps of ranks per visited-neighbour count,
+                    O((n + m) log n)
+  BFS, DFS,         partition refinement of one list of the unvisited
+  LBFS, LDFS        vertices, sorting the neighbours each visit moves,
+                    O(n + m log Δ) for maximum degree Δ; the recognizers'
+                    LBFS sweeps run it too
+  MNS               groups of equal label (the set of visited neighbours),
+                    the inclusion-maximal labels and a lazy heap over them,
+                    kept incrementally; a step costs about the degrees
+                    around it, not linear in general (see `_mns_picks`)
 
 `SearchReplay` keeps the labels themselves; it serves `eligible_set` and
 the exhaustive oracle, which walk arbitrary prefixes.
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush, heapreplace
@@ -301,15 +299,7 @@ def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
         return _count_picks(g.adj, rank, by_rank, first, mcs=kind is SearchKind.MCS)
     if kind is SearchKind.MNS:
         return _mns_picks(g.adj, rank, by_rank, first)
-    if kind is SearchKind.LBFS or kind is SearchKind.LDFS:
-        return _refine_picks(g.adj, rank, by_rank, first, depth=kind is SearchKind.LDFS)
-    # For BFS and DFS, one bucket pass lists every neighbourhood in falling
-    # rank order, so the best-ranked neighbour is at the end.
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u in reversed(by_rank):
-        for w in g.adj[u]:
-            adj[w].append(u)
-    return _scan_picks(adj, first, depth=kind is SearchKind.DFS)
+    return _refine_picks(g.adj, rank, by_rank, first, kind)
 
 
 def _count_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
@@ -347,44 +337,30 @@ def _count_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
         v = by_rank[heap[0]]
 
 
-def _scan_picks(adj: list[list[int]], first: int, depth: bool) -> Iterator[int]:
-    """BFS reads the earliest, DFS the latest visited vertex that still has an
-    unvisited neighbour, and takes its first one."""
-    visited = [False] * len(adj)
-    active = deque([first])
-    end, drop = (-1, active.pop) if depth else (0, active.popleft)
-    v = first
-    while True:
-        yield v
-        visited[v] = True
-        while active:
-            nbrs = adj[active[end]]
-            while nbrs and visited[nbrs[-1]]:
-                nbrs.pop()
-            if nbrs:
-                break
-            drop()
-        else:
-            return
-        v = nbrs.pop()
-        active.append(v)
-
-
 def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
-                  depth: bool) -> Iterator[int]:
+                  kind: SearchKind) -> Iterator[int]:
     """Partition refinement (Habib, McConnell, Paul and Viennot 2000; Corneil
     and Krueger 2008) on one linked list of the unvisited vertices: the
     classes of equal label are runs of it, largest label first and each in
     rank order, so after `first` (unlinked wherever it stands) the head is
-    the next vertex.  Visiting v sorts its unvisited neighbours by rank,
-    then stably by class, and moves each class's group, in rank order, into
-    a new class: LBFS puts it just before the old class, LDFS in front of
-    every class.  Class ids are never reused, so LDFS's list holds them in
-    falling order; moving the groups oldest class first, each to the
-    current front, keeps the new classes in their old classes' order.  A
-    visit sorts only if it has two or more unvisited neighbours, so
-    O(n + m log Δ).  Every label is maximal once a component is done, so it
-    goes on to the next one and never stops early."""
+    the next vertex.  Class 0 holds the unreached vertices (the empty label)
+    and stays last.  Visiting v moves its unvisited neighbours, in rank
+    order, into new classes:
+
+      BFS   the unreached ones, into one class just before class 0
+      DFS   all of them, into one class in front of every class
+      LBFS  each old class's group, into a class just before the old one
+      LDFS  each old class's group, into a class in front of every class
+
+    LBFS and LDFS sort by rank, then stably by class.  Class ids are never
+    reused, so the depth rules' list holds them in falling order; moving
+    LDFS's groups oldest class first, each to the current front, keeps the
+    new classes in their old classes' order.  `head` (class -> its first
+    vertex) is kept exact only for the breadth rules, which insert before
+    it.  A visit sorts only if it moves two or more vertices, so
+    O(n + m log Δ).  BFS and DFS stop once the head is unreached: no
+    unvisited vertex has a visited neighbour.  LBFS and LDFS see every
+    label maximal then, so they go on to the next component."""
     n = len(adj)
     nxt = [0] * (n + 1)  # the list runs from the sentinel n back to it
     prv = [0] * (n + 1)
@@ -392,8 +368,12 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
     for a, b in zip(chain, chain[1:]):
         nxt[a] = b
         prv[b] = a
+    lex = kind is SearchKind.LBFS or kind is SearchKind.LDFS
+    depth = kind is SearchKind.DFS or kind is SearchKind.LDFS
+    fresh = kind is SearchKind.BFS  # only unreached neighbours move
+    floor = 0 if lex else 1  # the least class the head may hold: BFS and DFS stall at 0
     cls = [0] * n + [-1]  # -1 once visited, and for the sentinel
-    head = [by_rank[0]]  # class -> its first vertex, kept exact for LBFS; LDFS needs its length
+    head = [by_rank[0]]
     v = first
     while True:
         yield v
@@ -405,13 +385,17 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
         prv[u] = p
         if head[c] == v:  # else v is a `first` the ranking does not put first
             head[c] = u
-        nbrs = [w for w in adj[v] if cls[w] >= 0]
+        if fresh:
+            nbrs = [w for w in adj[v] if not cls[w]]
+        else:
+            nbrs = [w for w in adj[v] if cls[w] >= 0]
         if len(nbrs) > 1:
             nbrs.sort(key=rank.__getitem__)
-            nbrs.sort(key=cls.__getitem__)
+            if lex:
+                nbrs.sort(key=cls.__getitem__)
         c = -1
         for w in nbrs:
-            if cls[w] != c:  # the first of a group: open its new class
+            if cls[w] != c and (lex or c < 0):  # the first of a group (BFS and DFS move one)
                 c = cls[w]
                 f = nxt[n] if depth else head[c]  # the group goes just before f
                 d = len(head)
@@ -430,7 +414,7 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
                 prv[f] = w
             cls[w] = d
         v = nxt[n]
-        if v == n:
+        if cls[v] < floor:
             return
 
 

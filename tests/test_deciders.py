@@ -199,6 +199,9 @@ def _checked_path(g, order, vertices):
 def test_hamiltonian_path():
     p4 = fx.path(4)
     assert hamiltonian_path(p4, recognize_interval(p4), range(4)) in ([0, 1, 2, 3], [3, 2, 1, 0])
+    for vertices, bad in (([5], 5), ([-1], -1), ([0, 7], 7), ([-2, 1, 9], -2)):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range$"):
+            hamiltonian_path(p4, recognize_interval(p4), vertices)
     claw = fx.claw()
     assert hamiltonian_path(claw, recognize_interval(claw), range(4)) is None
     k4 = fx.clique(4)

@@ -37,6 +37,14 @@ def test_from_edges_checks_in_order():
         Graph.from_edges(2, [(0, 1), (2, 2)])
     with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
         Graph.from_edges(2, [(0, 1), (1, 1), (0, 5)])
+    with pytest.raises(ValueError, match=r"^edge \(0,1\.0\) out of range 0..3$"):
+        Graph.from_edges(4, [(0, 1.0)])
+    with pytest.raises(ValueError, match=r"^edge \('0',1\) out of range 0..3$"):
+        Graph.from_edges(4, [(0, 1), ('0', 1)])
+    with pytest.raises(ValueError, match=r"^edge \(2,None\) out of range 0..3$"):
+        Graph.from_edges(4, iter([(0, 1), (2, None)]))
+    with pytest.raises(TypeError):  # an edge that is no pair is no endpoint's fault
+        Graph.from_edges(4, [(0, 1), 5])
 
 
 def test_from_edges_builds_compact_tables():

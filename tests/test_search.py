@@ -353,12 +353,13 @@ def _disconnected_graph(rng, n):
 
 
 def test_lexicographic_and_mns_engines_match_the_reference_at_mid_size():
-    """LBFS, LDFS and MNS `run_search` and `validate_order` against the
-    replay reference on 60 graphs with n = 30-150: random sparse, random
-    chordal, windows of width 1-6 and, for `validate_order` only,
-    disconnected ones.  Each policy runs with a free start and with a
-    fixed one it does not rank first.  Every order is validated as is and
-    with one adjacent swap."""
+    """BFS, DFS, LBFS, LDFS and MNS `run_search` and `validate_order`
+    against the replay reference on 60 graphs with n = 30-150: random
+    sparse, random chordal, windows of width 1-6 and, for `validate_order`
+    only, disconnected ones, where BFS and DFS stall once no unvisited
+    vertex has a visited neighbour.  Each policy runs with a free start
+    and with a fixed one it does not rank first.  Every order is validated
+    as is and with one adjacent swap."""
     rng = random.Random(3008)
     for trial in range(60):
         n = rng.randint(30, 150)
@@ -372,7 +373,7 @@ def test_lexicographic_and_mns_engines_match_the_reference_at_mid_size():
         else:
             g = _disconnected_graph(rng, n)
         policies = (LOWEST_ID, HIGHEST_ID, FixedPreference(tuple(rng.sample(range(n), n))))
-        for kind in (K.LBFS, K.LDFS, K.MNS):
+        for kind in (K.BFS, K.DFS, K.LBFS, K.LDFS, K.MNS):
             if family == 3:
                 orders = [_replay_order(kind, g, rng)]
             else:
@@ -392,17 +393,18 @@ def test_lexicographic_and_mns_engines_match_the_reference_at_mid_size():
                         (trial, kind, o)
 
 
-def test_ldfs_needs_no_more_memory_than_lbfs():
-    """The traced peak of an LDFS `run_search` is at most 1.5 times that of
-    LBFS on a 2e4-vertex window and a sparse random graph, under a random
-    preference: both refine one linked list of the unvisited vertices, in
-    O(n) state besides one entry per new class."""
+def test_refinement_kinds_need_no_more_memory_than_lbfs():
+    """The traced peak of a BFS, DFS or LDFS `run_search` is at most 1.5
+    times that of LBFS on a 2e4-vertex window and a sparse random graph,
+    under a random preference: all four refine one linked list of the
+    unvisited vertices, in O(n) state besides one entry per new class."""
     rng = random.Random(3013)
     n = 20_000
+    kinds = (K.LBFS, K.BFS, K.DFS, K.LDFS)
     for g in (fx.window(n), fx.rand_sparse_connected(rng, n, 5)):
         policy = FixedPreference(tuple(rng.sample(range(n), n)))
         peak = {}
-        for kind in (K.LBFS, K.LDFS):
+        for kind in kinds:
             gc.collect()
             tracemalloc.start()
             try:
@@ -410,7 +412,8 @@ def test_ldfs_needs_no_more_memory_than_lbfs():
                 peak[kind] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak[K.LDFS] <= 1.5 * peak[K.LBFS], peak
+        for kind in kinds[1:]:
+            assert peak[kind] <= 1.5 * peak[K.LBFS], (kind, peak)
 
 
 def test_run_search_and_validate_order_never_replay(monkeypatch):
