@@ -132,12 +132,15 @@ def clique_tree(g: Graph, peo=None) -> tuple[list[frozenset], list[tuple[int, in
 
     Walks an MCS visit order: a new maximal clique starts whenever the
     visited-neighbor count fails to grow, and the new clique hangs off
-    the clique of the most recently visited such neighbor.  Tree edges
-    carry their separator (the visited neighborhood of the clique's
-    first vertex).  O(n + m); raises NotChordalError on non-chordal
-    input and DisconnectedGraphError on disconnected input.  A given
-    `peo` must be `recognize_chordal(g)`'s (a reversed MCS order); it is
-    trusted, and without one `recognize_chordal` runs here.
+    the clique of the most recently visited such neighbor (Blair and
+    Peyton 1993).  Tree edges carry their separator (the visited
+    neighborhood of the clique's first vertex).  O(n + m); raises
+    NotChordalError on non-chordal input and DisconnectedGraphError on
+    disconnected input.  A given `peo` must be a perfect elimination
+    ordering whose reverse is an MCS order, as `recognize_chordal`'s is;
+    the walk checks the second condition, since the clique rule holds
+    only for MCS orders, and raises ValueError when it fails.  Without a
+    `peo`, `recognize_chordal` runs here.
     """
     n = g.n
     if n == 0:
@@ -148,15 +151,36 @@ def clique_tree(g: Graph, peo=None) -> tuple[list[frozenset], list[tuple[int, in
             raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
     order = peo[::-1]
     visit_index = _position_map(order, n)
-    cliques: list[list[int]] = [[order[0]]]
+    adj = g.adj
+    count = [0] * n  # visited neighbors so far
+    tally = [n] + [0] * n  # unvisited vertices per count
+    top = 0  # the highest count an unvisited vertex has
+    cliques: list[list[int]] = []
     clique_of = [0] * n
     edges: list[tuple[int, int, frozenset]] = []
     prev_card = 0
-    for j in range(1, n):
-        v = order[j]
-        earlier = [w for w in g.adj[v] if visit_index[w] < j]
+    for j, v in enumerate(order):
+        if count[v] != top:
+            raise ValueError(f"the reversed peo is no MCS order: vertex {v} has {count[v]} "
+                             f"visited neighbors where another has {top}")
+        tally[top] -= 1
+        earlier = []
+        for w in adj[v]:
+            if visit_index[w] < j:
+                earlier.append(w)
+            else:
+                c = count[w]
+                count[w] = c + 1
+                tally[c] -= 1
+                tally[c + 1] += 1
+                if c == top:
+                    top = c + 1
+        while top and not tally[top]:
+            top -= 1
         card = len(earlier)
-        if card <= prev_card:
+        if not j:
+            cliques.append([v])
+        elif card <= prev_card:
             if not earlier:  # nothing earlier to hang the clique on
                 raise DisconnectedGraphError("clique tree requires a connected graph")
             attach = max(earlier, key=visit_index.__getitem__)

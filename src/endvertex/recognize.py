@@ -53,16 +53,19 @@ def validate_split_partition(g: Graph, part: SplitPartition) -> bool:
 
 
 def is_split(g: Graph) -> bool:
-    """Degree-sequence split test (linear apart from one sort)."""
-    return _degree_split(g) is not None
+    """Whether g is split: `recognize_split(g) is not None`."""
+    return recognize_split(g) is not None
 
 
-def _degree_split(g: Graph) -> tuple[list[int], int] | None:
-    """The vertices by descending degree (ties by smaller id) and m*, or
-    None when the degree test finds g not split.
+def recognize_split(g: Graph) -> SplitPartition | None:
+    """A SplitPartition with maximal clique side, or None.
 
     With degrees d_1 >= ... >= d_n and m* = max{i : d_i >= i-1}, the
-    graph is split iff sum_{i<=m*} d_i = m*(m*-1) + sum_{i>m*} d_i.
+    graph is split iff sum_{i<=m*} d_i = m*(m*-1) + sum_{i>m*} d_i
+    (linear apart from one sort).  The m* highest-degree vertices form the
+    clique side (ties broken by smaller id for determinism); if some
+    independent vertex sees all of the clique, the smallest such vertex
+    is promoted, keeping the clique side maximal.
     """
     adj = g.adj
     # A stable sort keeps equal degrees in ascending id order.
@@ -74,25 +77,10 @@ def _degree_split(g: Graph) -> tuple[list[int], int] | None:
             mstar = i
     if sum(degs[:mstar]) != mstar * (mstar - 1) + sum(degs[mstar:]):
         return None
-    return by_degree, mstar
-
-
-def recognize_split(g: Graph) -> SplitPartition | None:
-    """A SplitPartition with maximal clique side, or None.
-
-    The m* highest-degree vertices form the clique side (ties broken by
-    smaller id for determinism); if some independent vertex sees all of
-    the clique, the smallest such vertex is promoted, keeping the clique
-    side maximal.
-    """
-    split = _degree_split(g)
-    if split is None:
-        return None
-    by_degree, mstar = split
     clique = set(by_degree[:mstar])
     indep = set(by_degree[mstar:])
     while True:
-        promotable = [w for w in indep if clique <= g.adj[w]]
+        promotable = [w for w in indep if clique <= adj[w]]
         if not promotable:
             break
         w = min(promotable)

@@ -28,19 +28,19 @@ eligible.
 
 A tie-break policy ranks the vertices; `run_search` always visits the
 eligible vertex of least rank, and `validate_order` is the same run with
-each vertex ranked by its position in the given ordering.  Three engines,
-none of which keeps these position bitmasks:
+each vertex ranked by its position in the given ordering.  Two engines,
+neither of which keeps these position bitmasks:
 
   Generic, MCS      lazy heaps of ranks per visited-neighbour count,
                     O((n + m) log n)
-  BFS, DFS,         partition refinement of one list of the unvisited
-  LBFS, LDFS        vertices, sorting the neighbours each visit moves,
+  BFS, DFS, LBFS,   partition refinement of one list of the unvisited
+  LDFS, MNS         vertices, sorting the neighbours each visit moves,
                     O(n + m log Δ) for maximum degree Δ; the recognizers'
-                    LBFS sweeps run it too
-  MNS               groups of equal label (the set of visited neighbours),
-                    the inclusion-maximal labels and a lazy heap over them,
-                    kept incrementally; a step costs about the degrees
-                    around it, not linear in general (see `_mns_picks`)
+                    LBFS sweeps run it too.  MNS refines it as LBFS does,
+                    so its classes are the groups of equal label, and
+                    keeps the inclusion-maximal classes and a lazy heap
+                    over them; a step costs about the degrees around it,
+                    not linear in general (see `_refine_picks`)
 
 `SearchReplay` keeps the labels themselves; it serves `eligible_set` and
 the exhaustive oracle, which walk arbitrary prefixes.
@@ -49,7 +49,7 @@ the exhaustive oracle, which walk arbitrary prefixes.
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush, heapreplace
@@ -138,8 +138,8 @@ class SearchReplay:
 
     Besides the prefix, the state is one label per vertex: the bits of
     the positions of its visited neighbours, where position i is the bit
-    `bits[i]` (`1 << (n - 1 - i)` for BFS and LBFS, `1 << i` for every
-    other kind), and the unvisited vertices in ascending order (`left`).
+    `1 << (n - 1 - i)` for BFS and LBFS and `1 << i` for every other kind,
+    computed as it is visited, and the unvisited vertices in ascending order (`left`).
     Each rule of the module docstring is one comparison over the labels
     in `left`.  `advance` adds the new position's bit to every
     neighbour's label and `retreat` removes it, visited neighbours
@@ -152,16 +152,14 @@ class SearchReplay:
     unvisited vertices only.
     """
 
-    __slots__ = ("kind", "adj", "bits", "order", "pos", "label", "left")
+    __slots__ = ("kind", "adj", "zero", "order", "pos", "label", "left")
 
     def __init__(self, g: Graph, kind: SearchKind):
         n = g.n
         self.kind = kind
         self.adj = g.adj
-        if kind is SearchKind.BFS or kind is SearchKind.LBFS:
-            self.bits = [1 << i for i in range(n - 1, -1, -1)]
-        else:
-            self.bits = [1 << i for i in range(n)]
+        # Position i has the bit 1 << abs(i - zero).
+        self.zero = n - 1 if kind is SearchKind.BFS or kind is SearchKind.LBFS else 0
         self.order: list[int] = []
         self.pos = [-1] * n
         self.label = [0] * n
@@ -174,7 +172,7 @@ class SearchReplay:
         self.pos[v] = i
         self.order.append(v)
         self.left.remove(v)
-        bit, label = self.bits[i], self.label
+        bit, label = 1 << abs(i - self.zero), self.label
         for w in self.adj[v]:
             label[w] |= bit
 
@@ -182,7 +180,7 @@ class SearchReplay:
         v = self.order.pop()
         self.pos[v] = -1
         insort(self.left, v)
-        bit, label = self.bits[len(self.order)], self.label
+        bit, label = 1 << abs(len(self.order) - self.zero), self.label
         for w in self.adj[v]:
             label[w] ^= bit
 
@@ -297,8 +295,6 @@ def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
            first: int) -> Iterator[int]:
     if kind is SearchKind.GENERIC or kind is SearchKind.MCS:
         return _count_picks(g.adj, rank, by_rank, first, mcs=kind is SearchKind.MCS)
-    if kind is SearchKind.MNS:
-        return _mns_picks(g.adj, rank, by_rank, first)
     return _refine_picks(g.adj, rank, by_rank, first, kind)
 
 
@@ -347,20 +343,46 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
     and stays last.  Visiting v moves its unvisited neighbours, in rank
     order, into new classes:
 
-      BFS   the unreached ones, into one class just before class 0
-      DFS   all of them, into one class in front of every class
-      LBFS  each old class's group, into a class just before the old one
-      LDFS  each old class's group, into a class in front of every class
+      BFS        the unreached ones, into one class just before class 0
+      DFS        all of them, into one class in front of every class
+      LBFS, MNS  each old class's group, into a class just before the old one
+      LDFS       each old class's group, into a class in front of every class
 
-    LBFS and LDFS sort by rank, then stably by class.  Class ids are never
-    reused, so the depth rules' list holds them in falling order; moving
-    LDFS's groups oldest class first, each to the current front, keeps the
-    new classes in their old classes' order.  `head` (class -> its first
-    vertex) is kept exact only for the breadth rules, which insert before
-    it.  A visit sorts only if it moves two or more vertices, so
+    LBFS, LDFS and MNS sort by rank, then stably by class.  Class ids are
+    never reused, so the depth rules' list holds them in falling order;
+    moving LDFS's groups oldest class first, each to the current front,
+    keeps the new classes in their old classes' order.  `head` (class -> its
+    first vertex) is kept exact only for BFS, LBFS and MNS, which insert
+    before it.  A visit sorts only if it moves two or more vertices, so
     O(n + m log Δ).  BFS and DFS stop once the head is unreached: no
     unvisited vertex has a visited neighbour.  LBFS and LDFS see every
-    label maximal then, so they go on to the next component."""
+    label maximal then, so they go on to the next component.
+
+    MNS refines like LBFS, so each class is the group of one label, the set
+    of its visited neighbours (`lab`, dropped once the class is empty), and
+    it visits the head of least rank among the classes of inclusion-maximal
+    label: `maxima`, with a lazy heap `tops` of (rank of the head, class)
+    over them.  The labels of the classes a visit of v makes are their old
+    classes' plus v, so the maximal ones among them join the maxima, and an
+    old maximum survives unless some of its members moved (their new label
+    contains it).  If v leaves its own class empty, a label inside v's may
+    become maximal.  Each such class was made at the visit of its label's
+    latest vertex, a visited neighbour x of v, so only the live classes
+    made at those visits (`born`) are looked at.  A label L is maximal iff
+    no label in N(x) strictly contains it, for any x in L, since every
+    label holding x belongs to an unvisited neighbour of x: the x with the
+    fewest unvisited neighbours (`left`) is scanned, unless they all hold L
+    itself (then L is maximal) or L is {x} (then any other label holding x
+    contains it).  Class 0 is maximal exactly when no nonempty label is
+    left.  A `tops` entry is stale once its class has left the maxima or
+    its head has moved on (refreshed to the head, whose rank only ever
+    rises).  MNS is not linear in general: a step costs O(d log n + t^2 s)
+    for d unvisited neighbours in t classes and labels of at most s
+    vertices (a label never outgrows its vertex's degree).  When v empties
+    its class, add s for each live class made at the visits of v's visited
+    neighbours, plus deg(x) s for each one inside v's that needs the scan.
+    Lazy heap pops, and dropping empty classes from `born`, are paid for by
+    the pushes."""
     n = len(adj)
     nxt = [0] * (n + 1)  # the list runs from the sentinel n back to it
     prv = [0] * (n + 1)
@@ -368,12 +390,20 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
     for a, b in zip(chain, chain[1:]):
         nxt[a] = b
         prv[b] = a
-    lex = kind is SearchKind.LBFS or kind is SearchKind.LDFS
+    mns = kind is SearchKind.MNS
+    lex = kind is SearchKind.LBFS or kind is SearchKind.LDFS or mns
     depth = kind is SearchKind.DFS or kind is SearchKind.LDFS
     fresh = kind is SearchKind.BFS  # only unreached neighbours move
     floor = 0 if lex else 1  # the least class the head may hold: BFS and DFS stall at 0
     cls = [0] * n + [-1]  # -1 once visited, and for the sentinel
     head = [by_rank[0]]
+    if mns:
+        lab: list = [frozenset()]  # None once the class is empty
+        size = [n]  # class -> its unvisited vertices
+        left = [0] * n  # a visited vertex's unvisited neighbours
+        born: list = [None] * n  # visited vertex -> the classes made at its visit
+        maxima = {0}
+        tops = [(0, 0)]
     v = first
     while True:
         yield v
@@ -393,6 +423,9 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
             nbrs.sort(key=rank.__getitem__)
             if lex:
                 nbrs.sort(key=cls.__getitem__)
+        if mns:
+            own, made = c, len(head)
+            olds = list(map(cls.__getitem__, nbrs))  # ascending: one run per group
         c = -1
         for w in nbrs:
             if cls[w] != c and (lex or c < 0):  # the first of a group (BFS and DFS move one)
@@ -413,142 +446,85 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
                 nxt[w] = f
                 prv[f] = w
             cls[w] = d
-        v = nxt[n]
-        if cls[v] < floor:
-            return
-
-
-def _mns_picks(adj, rank: list[int], by_rank: Sequence[int], first: int) -> Iterator[int]:
-    """The unvisited vertices grouped by label (the frozenset of their
-    visited neighbours), each group a lazy heap of ranks, plus the set of
-    inclusion-maximal labels and a lazy heap `tops` of (least rank of the
-    group, label) over them.
-
-    Visiting v moves each group of its unvisited neighbours to one new
-    label, the old one plus v, built once per group; a group only ever
-    loses members after that, so each label object names one group for
-    good.  The maximal labels among those that grew join the maxima, and
-    an old maximum survives unless some of its members grew too (their
-    new label contains it).  If v leaves its own group empty, a label
-    inside v's may become maximal.  Each such label was grown at the
-    visit of its latest vertex, a visited neighbour x of v, so only the
-    live labels grown at those visits are looked at.  A label L is
-    maximal iff no label in N(x) strictly contains it, for any x in L,
-    since every label holding x belongs to an unvisited neighbour of x:
-    the x with the fewest unvisited neighbours is scanned, unless they
-    all hold L itself (then L is maximal) or L is {x} (then any other
-    label holding x contains it).  The empty label is maximal exactly
-    when no nonempty label is left.  A `tops` entry is stale once its
-    label has left the maxima (dropped) or its rank has left the group
-    (refreshed to the group's least rank, which only ever rises).
-
-    Not linear in general.  A step costs O(d log n + t^2 s) for d
-    unvisited neighbours in t groups and labels of at most s vertices (a
-    label never outgrows its vertex's degree).  When v empties its group,
-    add s for each live label grown at the visits of v's visited
-    neighbours, plus deg(x) s for each one inside v's that needs the
-    scan.  Lazy heap pops, and dropping dead labels from those lists, are
-    paid for by the pushes."""
-    n = len(adj)
-    empty = frozenset()
-    label: list = [empty] * n  # None once visited
-    left = [0] * n  # a visited vertex's unvisited neighbours
-    born: list = [None] * n  # visited vertex -> the labels grown at its visit
-    groups = {empty: list(range(n))}  # label -> lazy heap of its ranks; a sorted list is a heap
-    size = {empty: n}
-    maxima = {empty}
-    tops = [(0, empty)]
-    v = first
-    while True:
-        yield v
-        own = label[v]
-        label[v] = None
+        if not mns:
+            v = nxt[n]
+            if cls[v] < floor:
+                return
+            continue
         size[own] -= 1
-        moved: dict = {}  # old label -> the unvisited neighbours of v holding it
-        for w in adj[v]:
-            lab = label[w]
-            if lab is None:
-                left[w] -= 1
-            elif lab in moved:
-                moved[lab].append(w)
-            else:
-                moved[lab] = [w]
-        if moved:
+        for x in lab[own]:  # v's visited neighbours
+            left[x] -= 1
+        left[v] = len(nbrs)
+        if nbrs:
             bit = {v}
-            grown = {}
-            for old, ws in moved.items():
-                lab = grown[old] = old | bit
-                for w in ws:
-                    label[w] = lab
-                left[v] += len(ws)
-                groups[lab] = sorted(map(rank.__getitem__, ws)) if len(ws) > 1 else [rank[ws[0]]]
-                size[lab] = len(ws)
-                size[old] -= len(ws)
+            new = born[v] = range(made, len(head))
+            i = 0
+            for _ in new:  # each made class's group is the next run of olds
+                old = olds[i]
+                k = bisect_right(olds, old, i) - i
+                i += k
+                lab.append(lab[old] | bit)
+                size.append(k)
+                size[old] -= k
                 if not size[old]:
-                    del size[old], groups[old]
-            born[v] = list(grown.values())
-            # Gaining the same vertex keeps containment among the old labels.
-            maxima.difference_update(moved)
-            for old in _maximal(moved):
-                lab = grown[old]
-                maxima.add(lab)
-                heappush(tops, (groups[lab][0], lab))
-        # Else own | {v} contains what own did.
-        if own not in moved and not size[own]:
-            del size[own], groups[own]
+                    lab[old] = None
+                maxima.discard(old)  # the new label contains it
+            for d in _maximal(new, lab) if len(new) > 1 else new:  # only labels holding v can contain these
+                maxima.add(d)
+                heappush(tops, (rank[head[d]], d))
+        if lab[own] is not None and not size[own]:  # v was the last of its class
+            label = lab[own]
+            lab[own] = None
             maxima.discard(own)
-            for x in own:
-                labs = born[x] = [lab for lab in born[x] if lab in size]  # the live ones
-                for lab in labs:
-                    if lab < own and lab not in maxima and _maximal_at(lab, adj, label, left, size):
-                        maxima.add(lab)
-                        heappush(tops, (groups[lab][0], lab))
-            if not maxima and empty in size:
-                maxima.add(empty)
-                heappush(tops, (groups[empty][0], empty))
+            for x in label:
+                live = born[x] = [d for d in born[x] if size[d]]
+                for d in live:
+                    if lab[d] < label and d not in maxima and _maximal_at(d, adj, cls, lab, left, size):
+                        maxima.add(d)
+                        heappush(tops, (rank[head[d]], d))
+            if not maxima and size[0]:
+                maxima.add(0)
+                heappush(tops, (rank[head[0]], 0))
         if len(tops) > 2 * len(maxima):  # stale entries would leave only at the top
-            tops = [(groups[lab][0], lab) for lab in maxima]
+            tops = [(rank[head[d]], d) for d in maxima]
             heapify(tops)
         while tops:
-            r, lab = tops[0]
-            v = by_rank[r]
-            if lab not in maxima:
+            r, d = tops[0]
+            if d not in maxima:
                 heappop(tops)
-            elif label[v] is lab:  # a live rank no larger than the group's least
+                continue
+            v = head[d]
+            if rank[v] == r:
                 break
-            else:
-                heap = groups[lab]
-                while label[by_rank[heap[0]]] is not lab:
-                    heappop(heap)
-                heapreplace(tops, (heap[0], lab))
+            heapreplace(tops, (rank[v], d))
         else:
             return
 
 
-def _maximal_at(lab: frozenset, adj, label: list, left: list[int], size: dict) -> bool:
-    """No label strictly contains the nonempty `lab`; checked at the member
-    with the fewest unvisited neighbours, as `_mns_picks` explains."""
-    x = min(lab, key=left.__getitem__)
-    if left[x] == size[lab]:
+def _maximal_at(d: int, adj, cls: list[int], lab: list, left: list[int], size: list[int]) -> bool:
+    """No label strictly contains class d's nonempty one; checked at the
+    member with the fewest unvisited neighbours, as `_refine_picks` explains."""
+    label = lab[d]
+    x = min(label, key=left.__getitem__)
+    if left[x] == size[d]:
         return True
-    if len(lab) == 1:  # any other label holding x strictly contains {x}
+    if len(label) == 1:  # any other label holding x strictly contains {x}
         return False
     for u in adj[x]:
-        other = label[u]
-        if other is not None and lab < other:
+        e = cls[u]
+        if e >= 0 and label < lab[e]:
             return False
     return True
 
 
-def _maximal(labels) -> list[frozenset]:
-    """The inclusion-maximal sets among distinct ones."""
-    if len(labels) < 2:
-        return list(labels)
-    out: list[frozenset] = []
-    for lab in sorted(labels, key=len, reverse=True):
+def _maximal(classes, lab: list) -> list[int]:
+    """The classes whose label no other label among them strictly contains."""
+    out: list[int] = []
+    for d in sorted(classes, key=lambda d: len(lab[d]), reverse=True):
+        label = lab[d]
         for top in out:
-            if lab < top:
+            if label < lab[top]:
                 break
         else:
-            out.append(lab)
+            out.append(d)
     return out

@@ -10,12 +10,13 @@ trees, alternately, compares their search engines.  The name has no
 
 Graphs, one per family and size, from fixed seeds: a window of width 3,
 `rand_sparse_connected` with average degree 5 and `rand_chordal` with
-q = 0.5.  Kinds default to BFS, DFS, LBFS and LDFS.  Printed, one line
-per family, size and kind: the best of N repetitions (default 5) of one
-`run_search` and one `validate_order` of its order, in CPU milliseconds,
-with identity ranks (`LowestId`) and with random ones (`SeededRandom`),
-then a SHA-256 prefix of the orders and verdicts, so that two trees'
-answers can be told apart too.  The collector is paused while timing.
+q = 0.5.  Kinds default to the five that `_refine_picks` serves: BFS,
+DFS, LBFS, LDFS and MNS.  Printed, one line per family, size and kind:
+the best of N repetitions (default 5) of one `run_search` and one
+`validate_order` of its order, in CPU milliseconds, with identity ranks
+(`LowestId`) and with random ones (`SeededRandom`), then a SHA-256
+prefix of the orders and verdicts, so that two trees' answers can be
+told apart too.  The collector is paused while timing.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--sizes", default="300,1000,100000")
-    parser.add_argument("kinds", nargs="*", default=["bfs", "dfs", "lbfs", "ldfs"])
+    parser.add_argument("kinds", nargs="*", default=["bfs", "dfs", "lbfs", "ldfs", "mns"])
     args = parser.parse_args()
     kinds = [SearchKind.parse(k) for k in args.kinds]
     print(f"{'family':8} {'n':>7} {'kind':5} {'identity ms':>12} {'random ms':>10}  digest")

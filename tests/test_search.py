@@ -22,7 +22,7 @@ from endvertex import (
     run_search,
     validate_order,
 )
-from endvertex.search import SearchReplay, _mns_picks
+from endvertex.search import SearchReplay, _refine_picks
 from reference import reference_run_search, reference_validate_order
 
 K = SearchKind
@@ -278,6 +278,22 @@ def test_replay_labels_stay_exact_through_advance_and_retreat():
                         (trial, kind, step, list(prefix), sorted(g.edges()))
 
 
+def test_eligible_set_memory_follows_the_prefix():
+    """A two-vertex prefix of a 2e4-vertex path traces under 4 MB in
+    `eligible_set` for every kind: the replay holds O(n) small labels, not
+    a table of n position bits of up to n bits each (about 29 MB here)."""
+    g = fx.path(20_000)
+    for kind in ALL_KINDS:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert eligible_set(kind, g, [0, 1]) == frozenset({2}), kind
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, (kind, peak)
+
+
 def test_search_engine_needs_no_adjacency_masks():
     assert not hasattr(Graph, "adjacency_masks")
     rng = random.Random(3006)
@@ -505,13 +521,13 @@ def test_mns_doubles_when_n_doubles_on_sparse_graphs():
 
 def test_mns_tops_heap_stays_within_twice_the_maxima():
     """At every pick of an MNS run on a 4e4-vertex random sparse graph
-    (average degree 10), `_mns_picks`' `tops` heap holds at most twice as
-    many entries as there are maximal labels: it is rebuilt from them
+    (average degree 10), `_refine_picks`' `tops` heap holds at most twice
+    as many entries as there are maximal labels: it is rebuilt from them
     when it outgrows that.  Without the rebuild, stale entries reached
     about three per maximum on this family."""
     g = fx.rand_sparse_connected(random.Random(3012), 40_000, 10)
     ids = list(range(g.n))
-    picks = _mns_picks(g.adj, ids, ids, 0)
+    picks = _refine_picks(g.adj, ids, ids, 0, K.MNS)
     worst = 0.0
     for count, _ in enumerate(picks, 1):
         state = picks.gi_frame.f_locals
