@@ -3,13 +3,14 @@ maximal cliques and clique trees.
 
 Everything on the main path here is O(n + m): maximum cardinality search
 on buckets, running the first-later-neighbor elimination test as it goes,
-and the clique tree grown along its visit order.  They back the linear-time
+with the clique tree and the hole read off it.  They back the linear-time
 end-vertex deciders, so no step may fall back to anything superlinear.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, NotChordalError
 from .graph import Graph
@@ -23,22 +24,32 @@ def mcs_order(g: Graph, start: int = 0) -> list[int]:
     a valid (if arbitrary) MCS tie-break.  Requires a connected graph:
     on disconnected input the buckets run dry before every vertex is
     visited, which raises DisconnectedGraphError without a separate
-    connectivity pass.  It stays apart from `run_search`'s MCS heaps
-    because at n = 1e5 it is faster, elimination test included (0.11-0.21 s
-    against 0.21-0.28 s on a window graph, on a 2-vCPU Xeon), and
-    class-hinted chordal queries run it once each.
+    connectivity pass.  It is `_mcs_pass`'s search, which the chordal
+    class and its certificates run; no library code calls `mcs_order`.
     """
-    return _mcs_pass(g, start)[0]
+    return _mcs_pass(g, start).order
 
 
-def _mcs_pass(g: Graph, start: int = 0) -> tuple[list[int], bool]:
+class McsPass(NamedTuple):
+    """One `_mcs_pass`: its order, whether the reverse is a PEO, and per
+    vertex its neighbours visited before it, counted, and the last one."""
+
+    order: list[int]
+    chordal: bool
+    count: list[int]
+    latest: list[int]
+
+
+def _mcs_pass(g: Graph, start: int = 0) -> McsPass:
     """`mcs_order`'s search, and whether its reverse is a perfect elimination
     ordering (Tarjan and Yannakakis, SIAM J. Comput. 1984): at each visit,
     v's visited neighbour visited last (its first later one in the reverse,
-    as in `peo_violation`) must see the others."""
+    as in `peo_violation`) must see the others.  At n = 1e5 it is faster
+    than `run_search`'s MCS heaps, elimination test included (0.11-0.21 s
+    against 0.21-0.28 s on a window graph, on a 2-vCPU Xeon)."""
     n = g.n
     if n == 0:
-        return [], True
+        return McsPass([], True, [], [])
     if not 0 <= start < n:
         raise ValueError(f"start vertex {start} out of range")
     adj = g.adj
@@ -82,7 +93,7 @@ def _mcs_pass(g: Graph, start: int = 0) -> tuple[list[int], bool]:
                     maxc = c
         if peo and len(earlier) > 1:
             peo = len(adj[latest[v]].intersection(earlier)) == len(earlier) - 1
-    return order, peo
+    return McsPass(order, peo, count, latest)
 
 
 def _position_map(order, n: int) -> list[int]:
@@ -127,70 +138,44 @@ def peo_violation(g: Graph, order) -> tuple[int, int, int] | None:
     return v, u, next(x for x in later if x != u and x not in adj_u)
 
 
-def clique_tree(g: Graph, peo=None) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
+def clique_tree(g: Graph) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
     """Maximal cliques and clique-tree edges of a connected chordal graph.
 
-    Walks an MCS visit order: a new maximal clique starts whenever the
-    visited-neighbor count fails to grow, and the new clique hangs off
-    the clique of the most recently visited such neighbor (Blair and
-    Peyton 1993).  Tree edges carry their separator (the visited
-    neighborhood of the clique's first vertex).  O(n + m); raises
-    NotChordalError on non-chordal input and DisconnectedGraphError on
-    disconnected input.  A given `peo` must be a perfect elimination
-    ordering whose reverse is an MCS order, as `recognize_chordal`'s is;
-    the walk checks the second condition, since the clique rule holds
-    only for MCS orders, and raises ValueError when it fails.  Without a
-    `peo`, `recognize_chordal` runs here.
+    One MCS pass, then `_clique_walk` along its visit order.  Tree edges
+    carry their separator (the visited neighborhood of the clique's first
+    vertex).  O(n + m); raises NotChordalError on non-chordal input and
+    DisconnectedGraphError on disconnected input.
     """
-    n = g.n
-    if n == 0:
+    mcs = _mcs_pass(g)
+    if not mcs.chordal:
+        raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
+    return _clique_walk(g, mcs)
+
+
+def _clique_walk(g: Graph, mcs: McsPass) -> tuple[list[frozenset], list[tuple[int, int, frozenset]]]:
+    """`clique_tree` read off a chordal graph's MCS pass (Blair and Peyton
+    1993): a new maximal clique starts wherever the visited-neighbor count
+    fails to grow, and hangs off the clique of the neighbor visited last.
+    Only a clique's first vertex has its adjacency read, for the separator."""
+    order, _, count, latest = mcs
+    if not order:
         return [], []
-    if peo is None:
-        peo = recognize_chordal(g)
-        if peo is None:
-            raise NotChordalError("graph is not chordal (no perfect elimination ordering)")
-    order = peo[::-1]
-    visit_index = _position_map(order, n)
     adj = g.adj
-    count = [0] * n  # visited neighbors so far
-    tally = [n] + [0] * n  # unvisited vertices per count
-    top = 0  # the highest count an unvisited vertex has
-    cliques: list[list[int]] = []
-    clique_of = [0] * n
+    cliques: list[list[int]] = [[]]  # the start's count, 0, beats prev = -1: it joins
+    clique_of = [-1] * g.n  # -1 until visited
     edges: list[tuple[int, int, frozenset]] = []
-    prev_card = 0
-    for j, v in enumerate(order):
-        if count[v] != top:
-            raise ValueError(f"the reversed peo is no MCS order: vertex {v} has {count[v]} "
-                             f"visited neighbors where another has {top}")
-        tally[top] -= 1
-        earlier = []
-        for w in adj[v]:
-            if visit_index[w] < j:
-                earlier.append(w)
-            else:
-                c = count[w]
-                count[w] = c + 1
-                tally[c] -= 1
-                tally[c + 1] += 1
-                if c == top:
-                    top = c + 1
-        while top and not tally[top]:
-            top -= 1
-        card = len(earlier)
-        if not j:
-            cliques.append([v])
-        elif card <= prev_card:
-            if not earlier:  # nothing earlier to hang the clique on
-                raise DisconnectedGraphError("clique tree requires a connected graph")
-            attach = max(earlier, key=visit_index.__getitem__)
-            edges.append((len(cliques), clique_of[attach], frozenset(earlier)))
+    prev = -1
+    for v in order:
+        c = count[v]
+        if c > prev:
+            cliques[-1].append(v)
+        else:
+            earlier = [w for w in adj[v] if clique_of[w] >= 0]
+            edges.append((len(cliques), clique_of[latest[v]], frozenset(earlier)))
             earlier.append(v)
             cliques.append(earlier)
-        else:
-            cliques[-1].append(v)
         clique_of[v] = len(cliques) - 1
-        prev_card = card
+        prev = c
     return [frozenset(c) for c in cliques], edges
 
 
@@ -208,8 +193,8 @@ def recognize_chordal(g: Graph) -> list[int] | None:
     vertex is visited).  Use `chordal_hole` for a refusal certificate.
     Raises DisconnectedGraphError (from the search) on disconnected input.
     """
-    order, peo = _mcs_pass(g)
-    return order[::-1] if peo else None
+    mcs = _mcs_pass(g)
+    return mcs.order[::-1] if mcs.chordal else None
 
 
 def chordal_hole(g: Graph) -> list[int] | None:
@@ -221,9 +206,12 @@ def chordal_hole(g: Graph) -> list[int] | None:
     and Yannakakis 1984), so no search is needed; the cycle is checked
     before it is returned.  O(n + m).  Returns None on chordal input.
     """
-    order, peo = _mcs_pass(g)
-    if peo:
-        return None
+    mcs = _mcs_pass(g)
+    return None if mcs.chordal else _hole(g, mcs.order)
+
+
+def _hole(g: Graph, order: list[int]) -> list[int]:
+    """`chordal_hole` read off an MCS order whose reverse is no PEO."""
     v, u, x = peo_violation(g, order[::-1])
     blocked = (g.adj[v] | {v}) - {u, x}
     path = _shortest_path_avoiding(g, u, x, blocked)

@@ -24,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from .chordal import chordal_hole
+from . import chordal
 from .deciders import _HINTS, Verdict, _class_table, dispatch_endvertex
 from .errors import GuardExceededError
 from .graph import Graph, from_lists
@@ -321,10 +321,13 @@ def cmd_reduce(args) -> int:
 def cmd_recognize(args) -> int:
     g, names = load_graph(args.file)
     namer = _Namer(names)
-    holds, _ = _class_table(g)
-    peo, split, interval, unit, claw_net_free = (
-        holds(cls) for cls in ("chordal", "split", "interval", "unit-interval", "claw-net-free"))
-    hole = None if peo is not None else chordal_hole(g)
+    # One MCS pass: the chordal certificate, or the order the hole is read off.
+    mcs = chordal._mcs_pass(g)
+    holds, certs = _class_table(g)
+    certs["chordal"] = mcs if mcs.chordal else None
+    split, interval, unit, claw_net_free = (
+        holds(cls) for cls in ("split", "interval", "unit-interval", "claw-net-free"))
+    peo, hole = (mcs.order[::-1], None) if mcs.chordal else (None, chordal._hole(g, mcs.order))
     doc = {
         "command": "recognize",
         "chordal": namer.seq(peo) if peo is not None else None,

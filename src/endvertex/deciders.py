@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .chordal import recognize_chordal
+from . import chordal
 from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError
 from .graph import Graph, _chain_break, cut_vertices, is_connected, is_simplicial
 from .oracle import is_endvertex_exhaustive
 from .recognize import (
     CliqueOrder,
+    _interval_from_pass,
     is_claw_net_free,
-    recognize_interval,
     recognize_split,
     recognize_unit_interval,
     validate_clique_order,
@@ -289,14 +289,15 @@ class DispatchResult:
 
 
 # Class -> recognizer given g and `holds`, returning the certificate or None:
-# the only way the library establishes a class.  Interval reuses chordal's
-# PEO and fails without one; a unit interval order settles claw-net-free.
-# The lambdas look each recognizer up when called, so a patched one runs.
+# the only way the library establishes a class.  Chordal's is its MCS pass,
+# which interval reads its clique tree from; a unit interval order settles
+# claw-net-free.  The lambdas look each recognizer up when called, so a
+# patched one runs.
 _RECOGNIZERS = {
-    "chordal": lambda g, holds: recognize_chordal(g),
+    "chordal": lambda g, holds: (mcs if (mcs := chordal._mcs_pass(g)).chordal else None),
     "split": lambda g, holds: recognize_split(g),
-    "interval": lambda g, holds: (None if (peo := holds("chordal")) is None
-                                  else recognize_interval(g, peo)),
+    "interval": lambda g, holds: (None if (mcs := holds("chordal")) is None
+                                  else _interval_from_pass(g, mcs)),
     "unit-interval": lambda g, holds: recognize_unit_interval(g),
     "claw-net-free": lambda g, holds: (holds("unit-interval") is not None
                                        or is_claw_net_free(g) or None),

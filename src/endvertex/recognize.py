@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chordal import _position_map, clique_tree, maximal_cliques_chordal
-from .errors import DisconnectedGraphError, NotChordalError
+from . import chordal
+from .chordal import McsPass, _clique_walk, _position_map, maximal_cliques_chordal
+from .errors import DisconnectedGraphError
 from .graph import Graph
 from .search import SearchKind, _refine_picks
 
@@ -145,28 +146,32 @@ def _consecutive_ok(n: int, cliques: Sequence[frozenset]) -> bool:
     return all(count[v] == 0 or last[v] - first[v] + 1 == count[v] for v in range(n))
 
 
-def recognize_interval(g: Graph, peo: list[int] | None = None) -> CliqueOrder | None:
+def recognize_interval(g: Graph) -> CliqueOrder | None:
     """A valid CliqueOrder, or None when g is not interval.
 
-    Non-chordal input is refused (a `recognize_chordal` PEO, if given,
-    goes to `clique_tree`); otherwise `_clique_path` arranges the maximal
-    cliques along an LBFS order and the arrangement is returned only if
-    it passes the consecutiveness check.  Refusal rests on the lemma that
-    the last vertex of an LBFS of an interval graph lies in an end clique
-    of some clique path (Corneil, Olariu and Stewart; it drives the
-    clique ordering of Habib, McConnell, Paul and Viennot 2000).
+    One MCS pass refuses non-chordal input and gives the clique tree
+    (`_interval_from_pass`); `_clique_path` arranges the maximal cliques
+    along an LBFS order and the arrangement is returned only if it passes
+    the consecutiveness check.  Refusal rests on the lemma that the last
+    vertex of an LBFS of an interval graph lies in an end clique of some
+    clique path (Corneil, Olariu and Stewart; it drives the clique
+    ordering of Habib, McConnell, Paul and Viennot 2000).
     Near-linear: O(n + m log Δ) for the sweep; the refinement handles
     each vertex once as a pivot and moves a clique at most once per
     vertex it holds, scanning its clique-tree edges each time.
-    Connectivity costs no pass of its own: `clique_tree` raises on
-    disconnected input, with or without a PEO.
+    Connectivity costs no pass of its own: the MCS pass raises on
+    disconnected input.
     """
     try:
-        cliques, tree = clique_tree(g, peo)
-    except NotChordalError:
-        return None
+        mcs = chordal._mcs_pass(g)
     except DisconnectedGraphError:
         raise ValueError("interval recognition needs a connected graph") from None
+    return _interval_from_pass(g, mcs) if mcs.chordal else None
+
+
+def _interval_from_pass(g: Graph, mcs: McsPass) -> CliqueOrder | None:
+    """`recognize_interval` on the MCS pass of a chordal g, its certificate."""
+    cliques, tree = _clique_walk(g, mcs)
     order = _clique_path(g.n, cliques, tree, _lbfs(g, range(g.n)))
     if order is None or not _consecutive_ok(g.n, order):
         return None

@@ -37,10 +37,12 @@ Printed, one per line:
 
 The interval and unit interval recognizers are memoized per graph (each
 runs at most once per graph), because exhaustive recognizers, where a
-tree still has them, are exponential on some graphs of the corpus.  The
-unit interval one is whichever of `recognize_unit_interval` and the
-older `_unit_interval_order` the `deciders` module binds, so the script
-runs on trees from before and after that rename.
+tree still has them, are exponential on some graphs of the corpus.  Each
+is whichever name the `deciders` module binds for the class table's row:
+`_interval_from_pass`, which reads the chordal row's MCS record, or the
+older `recognize_interval`, and `recognize_unit_interval` or the older
+`_unit_interval_order`, so the script runs on trees from before and
+after those changes.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ def memoized(recognizer):
 
 
 def main() -> None:
-    deciders.recognize_interval = memoized(deciders.recognize_interval)
-    for name in ("recognize_unit_interval", "_unit_interval_order"):
+    for name in ("_interval_from_pass", "recognize_interval", "recognize_unit_interval",
+                 "_unit_interval_order"):
         if hasattr(deciders, name):
             setattr(deciders, name, memoized(getattr(deciders, name)))
     shas = {name: hashlib.sha256() for name in ("verdicts", "witnesses", "methods", "answers")}

@@ -322,6 +322,17 @@ def brute_minimal_separators(g: Graph) -> set[frozenset]:
     return found
 
 
+def brute_maximal_cliques(g: Graph) -> set[frozenset]:
+    """Every vertex subset that is a clique no further vertex extends,
+    found by scanning all 2^n subsets as bitmasks."""
+    n = g.n
+    closed = [sum(1 << w for w in g.adj[v]) | 1 << v for v in range(n)]
+    cliques = {s for s in range(1, 1 << n)
+               if all(s & ~closed[v] == 0 for v in range(n) if s >> v & 1)}
+    return {frozenset(v for v in range(n) if s >> v & 1) for s in cliques
+            if not any(s | 1 << w in cliques for w in range(n) if not s >> w & 1)}
+
+
 def brute_inclusion_chain(sets) -> bool:
     return all(set(a) <= set(b) or set(b) <= set(a) for a, b in combinations(sets, 2))
 

@@ -15,7 +15,6 @@ from endvertex import (
     mcs_order,
     peo_violation,
     recognize_chordal,
-    recognize_interval,
     validate_order,
 )
 from endvertex.chordal import is_chordless_cycle
@@ -152,37 +151,18 @@ def test_clique_tree_edges_carry_real_separators():
             assert sep == cliques[i] & cliques[j]
 
 
-def test_clique_tree_refuses_a_peo_whose_reverse_is_no_mcs_order():
+def test_clique_tree_returns_exactly_the_maximal_cliques():
     """The clique rule holds only along MCS orders.  [5, 4, 3, 2, 1, 0] is a
     PEO of K4 on 0-3 with 4 joined to 0 and 5 joined to 1, 2 and 3, but its
     reverse is no MCS order, and walking it would give the clique
-    {0, 4, 5}, which is none.  Over random PEOs of random chordal graphs,
-    `clique_tree` refuses or returns exactly the maximal cliques."""
+    {0, 4, 5}, which is none.  `clique_tree` walks its own MCS pass, so
+    it returns exactly the maximal cliques."""
     g = Graph.from_edges(6, [(a, b) for a, b in combinations(range(4), 2)]
                          + [(4, 0), (5, 1), (5, 2), (5, 3)])
-    peo = [5, 4, 3, 2, 1, 0]
-    assert peo_violation(g, peo) is None
-    for build in (clique_tree, recognize_interval):
-        with pytest.raises(ValueError, match="no MCS order"):
-            build(g, peo)
-    rng = random.Random(12)
-    refused = 0
-    for _ in range(1000):
-        g = fx.rand_chordal(rng, rng.randint(1, 12), rng.random())
-        alive, peo = set(range(g.n)), []
-        while alive:  # eliminate a random simplicial vertex at a time
-            peo.append(rng.choice([v for v in sorted(alive) if all(
-                b in g.adj[a] for a, b in combinations(g.adj[v] & alive, 2))]))
-            alive.remove(peo[-1])
-        try:
-            cliques, edges = clique_tree(g, peo)
-        except ValueError as err:
-            assert "no MCS order" in str(err)
-            refused += 1
-            continue
-        assert sorted(map(sorted, cliques)) == sorted(map(sorted, maximal_cliques_chordal(g)))
-        assert all(sep == cliques[i] & cliques[j] for i, j, sep in edges)
-    assert 0 < refused < 1000, refused
+    assert peo_violation(g, [5, 4, 3, 2, 1, 0]) is None
+    cliques, edges = clique_tree(g)
+    assert sorted(map(sorted, cliques)) == [[0, 1, 2, 3], [0, 4], [1, 2, 3, 5]]
+    assert len(edges) == 2 and all(sep == cliques[i] & cliques[j] for i, j, sep in edges)
 
 
 def test_minimal_separators_examples():

@@ -186,9 +186,9 @@ def test_cli_recognize(fig5_path, capsys):
 
 
 def test_cli_recognize_runs_mcs_once(tmp_path, capsys, monkeypatch):
-    """Interval recognition reuses the PEO chordal recognition found:
-    one MCS pass, counted at the search both `mcs_order` and
-    `recognize_chordal` run."""
+    """One MCS pass settles chordality either way: on a window, interval
+    recognition reads its clique tree from the pass, and on C5 and a
+    cocktail party the hole is routed through the failed pass's order."""
     calls = []
     original = endvertex.chordal._mcs_pass
 
@@ -197,13 +197,17 @@ def test_cli_recognize_runs_mcs_once(tmp_path, capsys, monkeypatch):
         return original(g, *args)
 
     monkeypatch.setattr(endvertex.chordal, "_mcs_pass", counted)
-    path = tmp_path / "window.graph"
-    path.write_text(graph_to_text(Graph.from_edges(
-        12, [(i, j) for i in range(12) for j in range(i + 1, min(i + 4, 12))])))
-    assert main(["recognize", str(path), "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["interval"] is not None and doc["unit_interval"] is not None
-    assert len(calls) == 1
+    for g, chordal in ((fx.window(12), True), (fx.cycle(5), False), (fx.cocktail_party(4), False)):
+        calls.clear()
+        path = tmp_path / "input.graph"
+        path.write_text(graph_to_text(g))
+        assert main(["recognize", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if chordal:
+            assert doc["interval"] is not None and doc["unit_interval"] is not None
+        else:
+            assert doc["chordal"] is None and len(doc["chordless_cycle"]) >= 4
+        assert len(calls) == 1, sorted(g.edges())
 
 
 @pytest.mark.parametrize("text, lines, doc", [
@@ -333,10 +337,10 @@ def test_cli_recursion_error_is_exit_1_without_traceback(tmp_path, capsys, monke
 def test_cli_unexpected_error_is_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
     """Any other unexpected exception, here a failed assertion inside a
     patched recognizer, is also one `error:` line with exit status 1."""
-    def broken(g, peo=None):
+    def broken(g, mcs):
         raise AssertionError("clique path failed its own check\nsecond line")
 
-    monkeypatch.setattr(endvertex.deciders, "recognize_interval", broken)
+    monkeypatch.setattr(endvertex.deciders, "_interval_from_pass", broken)
     assert main(["endvertex", _window_file(tmp_path, 20), "--class", "interval",
                  "--kind", "dfs", "--target", "19", "--json"]) == 1
     captured = capsys.readouterr()

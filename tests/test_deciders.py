@@ -331,10 +331,10 @@ def test_dispatch_recognizes_only_what_the_kind_uses():
 
 
 def test_auto_interval_recognition_reuses_the_chordal_peo(monkeypatch):
-    """Auto MCS recognizes interval on the PEO that chordal recognition
-    found: one maximum cardinality search per query on interval graphs
-    that are neither split nor unit interval, the ones where MCS asks
-    for interval."""
+    """Auto MCS and DFS read the interval clique tree off chordal
+    recognition's MCS pass: one maximum cardinality search per query on
+    interval graphs that are neither split nor unit interval, the ones
+    where MCS and DFS ask for interval."""
     import endvertex.chordal as chordal
 
     calls = []
@@ -352,9 +352,10 @@ def test_auto_interval_recognition_reuses_the_chordal_peo(monkeypatch):
             graphs.append(g)
     monkeypatch.setattr(chordal, "_mcs_pass", counted)
     for g in graphs:
-        calls.clear()
-        res = dispatch_endvertex(g, 0, K.MCS)
-        assert res.classes == ("chordal", "interval") and len(calls) == 1, res
+        for kind in (K.MCS, K.DFS):
+            calls.clear()
+            res = dispatch_endvertex(g, 0, kind)
+            assert res.classes == ("chordal", "interval") and len(calls) == 1, (kind, res)
 
 
 def test_auto_dispatch_answers_on_stars_and_spiders():
@@ -392,7 +393,7 @@ def test_auto_dfs_skips_the_claw_net_check_on_unit_interval_graphs(monkeypatch):
 
 
 def test_auto_ldfs_and_mcs_skip_interval_recognition_on_unit_interval_graphs(monkeypatch):
-    calls = fx.count_calls(monkeypatch, "recognize_interval")
+    calls = fx.count_calls(monkeypatch, "_interval_from_pass")
     g = fx.window(2000)
     for kind in (K.LDFS, K.MCS):
         assert dispatch_endvertex(g, 0, kind).method == "unit-interval characterization"

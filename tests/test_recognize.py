@@ -12,7 +12,6 @@ from endvertex import (
     SearchReplay,
     SplitPartition,
     check_unit_interval_order,
-    clique_tree,
     is_claw_net_free,
     is_connected,
     is_split,
@@ -79,11 +78,9 @@ def test_recognize_interval_examples():
     # The net is chordal but its three pendants form an asteroidal triple.
     assert recognize_chordal(fx.net()) is not None
     assert recognize_interval(fx.net()) is None
-    # Disconnected input is refused alike with and without a held PEO.
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
-    for peo in (None, [0, 1, 2, 3]):
-        with pytest.raises(ValueError, match="^interval recognition needs a connected graph$"):
-            recognize_interval(two_edges, peo)
+    with pytest.raises(ValueError, match="^interval recognition needs a connected graph$"):
+        recognize_interval(two_edges)
 
 
 def test_interval_certificates_on_random_instances():
@@ -92,18 +89,6 @@ def test_interval_certificates_on_random_instances():
         g = fx.rand_interval(rng, rng.randint(1, 8))
         order = recognize_interval(g)
         assert order is not None and validate_clique_order(g, order)
-
-
-def test_interval_recognition_on_a_held_peo_is_unchanged():
-    """Handing `recognize_chordal`'s PEO to `clique_tree` and
-    `recognize_interval` gives the certificates they compute alone."""
-    rng = random.Random(4013)
-    for _ in range(120):
-        n = rng.randint(1, 12)
-        g = fx.rand_interval(rng, n) if rng.random() < 0.5 else fx.rand_chordal(rng, n)
-        peo = recognize_chordal(g)
-        assert clique_tree(g, peo) == clique_tree(g)
-        assert recognize_interval(g, peo) == recognize_interval(g)
 
 
 def test_enumerate_clique_orders_on_jump_example():
