@@ -136,7 +136,8 @@ def load_graph(path: str) -> tuple[Graph, list[str] | None]:
     # The build allocates a few GC-tracked containers per vertex, none in a
     # reference cycle, and each full collection would rescan the growing
     # graph.  The collector's state is process-wide, so the CLI (which owns
-    # the process) pauses it here rather than Graph, which serves any caller.
+    # the process) pauses it rather than Graph, which serves any caller:
+    # `main` for the whole command, and this function for library callers.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -436,6 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A query makes no reference cycles that grow with the graph, so the
+    # collector would only rescan it; pause it, as `load_graph` does.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except GuardExceededError as exc:
@@ -450,6 +455,9 @@ def main(argv=None) -> int:
         print(f"error: internal error ({type(exc).__name__}: {' '.join(str(exc).split())})",
               file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -327,6 +327,28 @@ _ROUTES = {
 }
 
 
+class _Certs(dict):
+    """Class -> g's certificate, recognized on first lookup.  A method and
+    not a closure over itself, so that no reference cycle keeps g and its
+    certificates alive after a query."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, cls: str) -> object:
+        if any(cls in _IMPLIES.get(c, ()) for c, cert in self.items() if cert is not None):
+            cert = True
+        elif "chordal" in _IMPLIES.get(cls, ()) and self["chordal"] is None:
+            cert = None
+        else:
+            cert = _RECOGNIZERS[cls](self.g, self.__getitem__)
+        self[cls] = cert
+        return cert
+
+
 def _class_table(g: Graph, hint: str = "auto"):
     """`(holds, certs)`: `holds(cls)` is g's certificate for `cls` (True
     when implied) or None when g is not in it; `certs` caches the answers.
@@ -337,18 +359,8 @@ def _class_table(g: Graph, hint: str = "auto"):
     hold.  Test with `is not None`: the empty graph's are falsy."""
     if hint not in _HINTS:
         raise ValueError(f"unknown class hint {hint!r} (expected one of {_HINTS})")
-    certs: dict[str, object] = {}
-
-    def holds(cls: str) -> object:
-        if cls not in certs:
-            if any(cls in _IMPLIES.get(c, ()) for c, cert in certs.items() if cert is not None):
-                certs[cls] = True
-            elif "chordal" in _IMPLIES.get(cls, ()) and holds("chordal") is None:
-                certs[cls] = None
-            else:
-                certs[cls] = _RECOGNIZERS[cls](g, holds)
-        return certs[cls]
-
+    certs = _Certs(g)
+    holds = certs.__getitem__
     if hint != "auto":
         cert = _RECOGNIZERS[hint](g, holds)
         if cert is None:

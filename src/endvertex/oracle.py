@@ -16,7 +16,10 @@ Pruning:
   set (their rule reads nothing else); BFS by the visited set and the
   queue, the unvisited vertices grouped by earliest visited neighbour in
   order (a visit only appends one class).  LBFS and LDFS rank keys merge
-  too few states to repay their cost and DFS needs its whole stack.
+  too few states to repay their cost and DFS needs its whole stack;
+* a target query skips (and memoizes) a prefix after which some u != t
+  is never eligible while t is unvisited, so u cannot precede t: one
+  label test per kind (`_dead_end`; Generic and DFS have none).
 
 Guards are explicit: exceeding one raises GuardExceededError rather than
 approximating.  The randomized probe is the only statistical tool here,
@@ -66,6 +69,34 @@ def _state_keys(replay: SearchReplay, kind: SearchKind):
     return None, None
 
 
+# Kind -> rule(label(u), label(t), N(u) & out) for a target query; see `_dead_end`.
+_DEAD_END_RULES = {
+    SearchKind.LBFS: lambda lu, lt, seen: lu < lt,
+    SearchKind.BFS: lambda lu, lt, seen: lu.bit_length() < lt.bit_length(),
+    SearchKind.LDFS: lambda lu, lt, seen: not seen and lu < lt,
+    SearchKind.MNS: lambda lu, lt, seen: not seen and lu & lt == lu != lt,
+    SearchKind.MCS: lambda lu, lt, seen: lt.bit_count() - lu.bit_count() > seen.bit_count(),
+}
+
+
+def _dead_end(replay: SearchReplay, kind: SearchKind, t: int):
+    """dead(rest): whether, after the prefix (rest: its unvisited set), an
+    unvisited u != t stays ineligible while t is, so no completion ends at t.
+
+    A later visit w != t adds one bit to the labels of N(w), and "out" is
+    rest minus t and N(t).  Each rule holds after every such visit:
+    * LBFS: label(u) < label(t); the new bit is below every set bit.
+    * BFS: label(u) tops below label(t); likewise, so u lacks the head's bit.
+    * LDFS: label(u) < label(t), N(u) & out empty; t gains every bit u does.
+    * MNS: label(u) strictly inside label(t), N(u) & out empty; likewise.
+    * MCS: count(t) - count(u) > |N(u) & out|; only those w shrink the lead.
+    """
+    label, left, rule = replay.label, replay.left, _DEAD_END_RULES[kind]
+    nbr = [sum(1 << w for w in ws) for ws in replay.adj]
+    beyond = ~(nbr[t] | 1 << t)
+    return lambda rest: any(rule(label[u], label[t], nbr[u] & rest & beyond) for u in left)
+
+
 def _orders(g: Graph, kind: SearchKind, start: int | None,
             target: int | None = None) -> Iterator[list[int]]:
     """Valid kind-orders (from `start` if given) in lexicographic order.
@@ -78,6 +109,7 @@ def _orders(g: Graph, kind: SearchKind, start: int | None,
     replay = SearchReplay(g, kind)
     order, advance, retreat = replay.order, replay.advance, replay.retreat
     root, child = _state_keys(replay, kind)
+    dead = target is not None and kind in _DEAD_END_RULES and _dead_end(replay, kind, target)
     memo: set = set()
     found = 0  # end-vertices of the orders generated so far, as a bitmask
     emitted = 0
@@ -106,6 +138,11 @@ def _orders(g: Graph, kind: SearchKind, start: int | None,
             if target is None and not after & ~found:
                 continue
             advance(v)
+            if dead and dead(after):
+                retreat()
+                if sub is not None:
+                    memo.add(sub)  # no completion ends at the target
+                continue
             stack.append((iter(replay.eligible()), emitted, sub, after))
             break
         else:

@@ -505,6 +505,54 @@ def test_load_graph_restores_the_collector(tmp_path):
         (gc.enable if was_enabled else gc.disable)()
 
 
+def test_main_pauses_the_collector_and_restores_it(fig5_path, tmp_path, capsys, monkeypatch):
+    """`main` pauses the collector for the whole command, not only the
+    load, and leaves it as it found it, on success and on an error exit."""
+    seen = []
+    run_search = endvertex.cli.run_search
+
+    def recorded(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return run_search(*args, **kwargs)
+
+    monkeypatch.setattr(endvertex.cli, "run_search", recorded)
+    missing = str(tmp_path / "missing.graph")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["search", fig5_path, "--kind", "bfs"]) == 0
+            assert gc.isenabled() is enabled
+            assert main(["search", missing, "--kind", "bfs"]) == 2
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["endvertex", "--kind", "mcs", "--target", "0"],
+                                     ["search", "--kind", "mns"], ["recognize"]])
+def test_cli_queries_leave_the_collector_little_that_grows_with_n(tmp_path, capsys, command):
+    """What makes pausing the collector for a whole command safe: after a
+    query on a window of 2e4 or 4e4 vertices, `gc.collect()` finds only
+    the argument parser's own cycles (a few hundred objects), and no more
+    at the larger size."""
+    found = []
+    was_enabled = gc.isenabled()
+    try:
+        for n in (20_000, 40_000):
+            path = _window_file(tmp_path, n)
+            gc.collect()
+            gc.disable()
+            assert main([command[0], path, *command[1:]]) == 0
+            found.append(gc.collect())
+            capsys.readouterr()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert max(found) <= 1000 and found[1] <= found[0] + 10, found
+
+
 def test_load_graph_peaks_near_the_graph_it_returns(tmp_path):
     """Loading a 20 000-vertex window file allocates at most 1.25 times
     what the returned graph holds: the file text and the line list are

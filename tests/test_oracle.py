@@ -1,7 +1,9 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 from endvertex import (
@@ -10,6 +12,7 @@ from endvertex import (
     SearchKind,
     SearchReplay,
     build_mcs_gadget,
+    build_mns_gadget,
     endvertex_set_exhaustive,
     is_endvertex_exhaustive,
     randomized_endvertex_probe,
@@ -243,3 +246,72 @@ def test_generic_and_bfs_oracle_work_is_memoized(monkeypatch):
         for g in graphs:
             endvertex_set_exhaustive(g, kind)
         assert calls[0] <= parent_set // 10, (kind, calls[0])
+
+
+def test_target_queries_prune_prefixes_that_cannot_end_at_the_target(monkeypatch):
+    """`SearchReplay.eligible` calls over every target query on the 9
+    graphs above, and on the unsatisfiable MNS gadget (k = 4, the eight
+    sign patterns over x1-x3, n = 19).  Before target queries pruned
+    dead prefixes the counts were: BFS 19 323, LBFS 112 907, LDFS
+    104 966, MCS 6 331, MNS 3 734, Generic 1 135, DFS 4 917; on the
+    gadget, MNS 2 953.  BFS, LBFS and LDFS must now be at most a tenth
+    of that, MCS and MNS at most half, Generic and DFS (no rule) no more,
+    and the gadget's MNS query at most a tenth."""
+    calls = [0]
+    eligible = SearchReplay.eligible
+
+    def counted(replay):
+        calls[0] += 1
+        return eligible(replay)
+
+    monkeypatch.setattr(SearchReplay, "eligible", counted)
+    rng = random.Random(10010)
+    graphs = [fx.rand_connected_graph(rng, n) for n in (9, 10, 11) for _ in range(3)]
+    for kind, bound in ((K.BFS, 19_323 // 10), (K.LBFS, 112_907 // 10),
+                        (K.LDFS, 104_966 // 10), (K.MCS, 6_331 // 2), (K.MNS, 3_734 // 2),
+                        (K.GENERIC, 1_135), (K.DFS, 4_917)):
+        calls[0] = 0
+        for g in graphs:
+            for t in range(g.n):
+                is_endvertex_exhaustive(g, kind, t)
+        assert calls[0] <= bound, (kind, calls[0])
+    clauses = tuple(((1, a), (2, b), (3, c)) for a, b, c in product((True, False), repeat=3))
+    art = build_mns_gadget(CnfFormula(4, clauses))
+    assert art.graph.n == 19
+    calls[0] = 0
+    assert is_endvertex_exhaustive(art.graph, K.MNS, art.target, guard=19) == (False, None)
+    assert calls[0] <= 2_953 // 10, calls[0]
+
+
+FAMILIES = (fx.rand_connected_graph, fx.rand_chordal, fx.rand_split, fx.rand_interval,
+            fx.rand_unit_interval, fx.rand_claw_net_free, fx.rand_sparse_interval)
+
+
+@st.composite
+def family_graphs(draw):
+    """A connected graph with n <= 8 from one of the fixture families."""
+    family = draw(st.sampled_from(FAMILIES))
+    return family(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 8)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(family_graphs(), st.integers(0, 7))
+def test_pruned_target_queries_agree_with_the_set_walk(g, s):
+    """The set query walks without the target rules, so it is the
+    reference: a target query says yes exactly for its members, with a
+    witness from the start that ends at t and validates, and MCS and MNS
+    terminal orders do the same."""
+    for kind in SearchKind:
+        for start in (None, s % g.n):
+            ends = endvertex_set_exhaustive(g, kind, start=start)
+            for t in range(g.n):
+                ok, witness = is_endvertex_exhaustive(g, kind, t, start=start)
+                assert ok == (t in ends)
+                orders = [witness] if ok else []
+                if kind in (K.MCS, K.MNS):
+                    terminal = list(terminal_orders_exhaustive(g, kind, t, limit=20, start=start))
+                    assert terminal[:1] == orders
+                    orders = terminal
+                for order in orders:
+                    assert order[-1] == t and start in (None, order[0])
+                    assert validate_order(kind, g, order) == (True, None)
