@@ -23,11 +23,15 @@ Pruning:
 
 Guards are explicit: exceeding one raises GuardExceededError rather than
 approximating.  The randomized probe is the only statistical tool here,
-for instances beyond any enumeration guard.
+for instances beyond any enumeration guard.  Its MCS batch runs its
+trials in contiguous slices, at most one per usable CPU, each on its own
+copy of the one PCG64 stream jumped to its rows' numbers (PCG64 advances
+in O(log n) steps), so its hits do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from typing import Iterator
 
@@ -175,9 +179,15 @@ def randomized_endvertex_probe(g: Graph, kind: SearchKind, t: int, trials: int,
     Deterministic per seed.  A statistical smoke test for instances
     beyond the enumeration guards; zero hits is evidence, not proof.
     MCS runs as a numpy batch (one synchronized step per column,
-    uniform choice among maximum labels); other kinds loop run_search,
-    each trial under a `SeededRandom` priority (one uniformly random
-    ranking of the vertices per trial) drawn from a per-trial sub-seed.
+    uniform choice among maximum labels) over one `default_rng(seed)`
+    stream, drawn one trials x n block per step.  The trials run in
+    slices of rows, in threads, at most one per usable CPU and each
+    drawing at least MIN_SLICE_CELLS numbers per step.  Each slice draws
+    exactly its rows' share of the stream, so the hits are the same on
+    any number of CPUs; a slice's exception is raised here.  Other kinds
+    loop run_search, each trial under a `SeededRandom` priority (one
+    uniformly random ranking of the vertices per trial) drawn from a
+    per-trial sub-seed.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("probe requires a connected graph")
@@ -196,25 +206,78 @@ def randomized_endvertex_probe(g: Graph, kind: SearchKind, t: int, trials: int,
     return hits
 
 
+# Fewest numbers a slice draws per step (its rows x n).  Each slice costs a
+# thread start and, every step, a turn at the interpreter lock; on 2 CPUs
+# two slices of the 131-vertex MCS gadget (k = 3, l = 4) break even at 64
+# rows each, while on graphs of 5-30 vertices two slices lost at 300-2000
+# trials; so the floor scales with n rather than counting rows.
+MIN_SLICE_CELLS = 8192
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _probe_mcs_batched(g: Graph, t: int, trials: int, seed: int) -> int:
+    if g.n == 1:
+        return trials if t == 0 else 0
+    adj = _adjacency_matrix(g)
+    min_rows = -(-MIN_SLICE_CELLS // g.n)  # rounded up: every slice has a row
+    slices = max(1, min(_usable_cpus(), trials // min_rows))
+    if slices == 1:
+        return _probe_mcs_slice(adj, t, trials, seed, 0, trials)
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [trials * i // slices for i in range(slices + 1)]
+    # Leaving the block joins every worker, also when slice 0 raises;
+    # `.result()` re-raises a worker's exception here.
+    with ThreadPoolExecutor(slices - 1) as pool:
+        rest = [pool.submit(_probe_mcs_slice, adj, t, trials, seed, lo, hi)
+                for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        hits = _probe_mcs_slice(adj, t, trials, seed, 0, cuts[1])
+        return hits + sum(future.result() for future in rest)
+
+
+def _adjacency_matrix(g: Graph):
+    """g's 0/1 adjacency as floats, -inf on the diagonal: adding row v to
+    the counts both counts v's visit and marks v visited."""
     import numpy as np  # here, so that `import endvertex` and the CLI do not load numpy
 
-    n = g.n
-    if n == 1:
-        return trials if t == 0 else 0
-    adj = np.zeros((n, n))
-    for u in range(n):
-        for v in g.adj[u]:
-            adj[u, v] = 1
-    rng = np.random.default_rng(seed)
+    adj = np.zeros((g.n, g.n))
+    for u, nbrs in enumerate(g.adj):
+        adj[u, np.fromiter(nbrs, np.intp, len(nbrs))] = 1
+    np.fill_diagonal(adj, -np.inf)
+    return adj
+
+
+def _probe_mcs_slice(adj, t: int, trials: int, seed: int, lo: int, hi: int) -> int:
+    """Hits among trials [lo, hi) of the probe's `trials`.
+
+    The batch draws one trials x n block of `default_rng(seed)` per step,
+    row-major.  This slice jumps its own copy of the stream to row lo of
+    the first block, draws its rows and jumps past the other rows to the
+    next block, so it reads exactly the numbers the whole batch reads for
+    its rows, whatever the cuts.
+    """
+    import numpy as np
+
+    n = adj.shape[0]
+    rows = hi - lo
+    skip = (trials - rows) * n
+    bits = np.random.PCG64(seed)  # default_rng(seed)'s generator
+    bits.advance(lo * n)
+    rng = np.random.Generator(bits)
     # Visited-neighbour counts, -inf once visited; in place, one step per column.
-    counts = np.zeros((trials, n))
-    score = np.empty((trials, n))
-    rows = np.arange(trials)
+    counts = np.zeros((rows, n))
+    score = np.empty((rows, n))
     for _ in range(n):
         rng.random(out=score)
+        if skip:
+            bits.advance(skip)
         score += counts
         last = score.argmax(axis=1)
-        counts[rows, last] = -np.inf
         counts += adj[last]
     return int((last == t).sum())

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from itertools import permutations, product
 
 import pytest
@@ -18,6 +20,7 @@ from endvertex import (
     randomized_endvertex_probe,
     validate_order,
 )
+from endvertex import oracle
 from reference import terminal_orders_exhaustive
 
 K = SearchKind
@@ -183,6 +186,123 @@ def test_probe_agrees_with_sequential_replay():
             hits = randomized_endvertex_probe(g, K.MCS, t, trials=60, seed=rng.getrandbits(32))
             if t not in exact:
                 assert hits == 0
+
+
+def _gadget():
+    return build_mcs_gadget(CnfFormula(3, (((1, False), (2, True), (3, False)),
+                                           ((1, True), (2, False), (3, True)))))
+
+
+def _probe_cases():
+    """(graph, t, trials, seed): the pinned probes, then seeded random graphs."""
+    g, _ = fx.split_example()
+    gadget = _gadget().graph
+    cases = [(fx.clique(5), 2, 2000, 123), (g, 5, 500, 11), (g, 6, 500, 11),
+             (gadget, 0, 400, 5), (gadget, 41, 400, 5)]
+    rng = random.Random(2808)
+    for trials in (1, 2, 3, 7, 60, 301) * 4:
+        g = fx.rand_connected_graph(rng, rng.randint(2, 9))
+        cases.append((g, rng.randrange(g.n), trials, rng.getrandbits(32)))
+    return cases
+
+
+def test_probe_slices_add_up_to_the_whole_batch():
+    """A slice reads its rows' numbers of the one stream, so the hits of
+    any cut of the trials into slices sum to the single-slice count."""
+    rng = random.Random(2809)
+    for g, t, trials, seed in _probe_cases():
+        adj = oracle._adjacency_matrix(g)
+        whole = oracle._probe_mcs_slice(adj, t, trials, seed, 0, trials)
+        for _ in range(3):
+            cuts = sorted({0, trials, *(rng.randint(0, trials) for _ in range(rng.randint(1, 3)))})
+            assert sum(oracle._probe_mcs_slice(adj, t, trials, seed, lo, hi)
+                       for lo, hi in zip(cuts, cuts[1:])) == whole, (g.adj, t, trials, cuts)
+
+
+def _count_slices(monkeypatch) -> list:
+    calls = []
+    run_slice = oracle._probe_mcs_slice
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return run_slice(*args)
+    monkeypatch.setattr(oracle, "_probe_mcs_slice", counted)
+    return calls
+
+
+def test_probe_hits_do_not_depend_on_the_cpu_count(monkeypatch):
+    calls = _count_slices(monkeypatch)
+    monkeypatch.setattr(oracle, "MIN_SLICE_CELLS", 1)  # so that every case is cut
+    for g, t, trials, seed in _probe_cases():
+        hits = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+            calls.clear()
+            hits.append(randomized_endvertex_probe(g, K.MCS, t, trials, seed))
+            assert len(calls) == min(cpus, trials)
+        assert hits[1:] == hits[:-1], (g.adj, t, trials)
+
+
+def test_probe_hits_hold_with_more_slices_than_cores_and_fast_switching(monkeypatch):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)  # six slices of the gadget
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        hits = [randomized_endvertex_probe(_gadget().graph, K.MCS, t, 400, 5)
+                for t in (124, 0, 41, 109, 115)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert hits == [0, 397, 1, 1, 1]  # as pinned above
+
+
+def test_probe_slices_draw_at_least_min_slice_cells_per_step(monkeypatch):
+    calls = _count_slices(monkeypatch)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 64)
+    g = _gadget().graph
+    trials = 3 * oracle.MIN_SLICE_CELLS // g.n
+    randomized_endvertex_probe(g, K.MCS, 0, trials, 7)
+    assert sorted(calls) == [(0, trials // 2), (trials // 2, trials)]
+    calls.clear()
+    randomized_endvertex_probe(fx.clique(5), K.MCS, 0, 1000, 7)
+    assert calls == [(0, 1000)]
+
+
+def test_probe_on_one_cpu_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("thread started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    g = _gadget().graph
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 1)
+    assert randomized_endvertex_probe(g, K.MCS, 0, 400, 5) == 397
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    with pytest.raises(AssertionError, match="thread started"):
+        randomized_endvertex_probe(g, K.MCS, 0, 400, 5)
+
+
+def test_probe_joins_its_threads(monkeypatch):
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    assert randomized_endvertex_probe(_gadget().graph, K.MCS, 0, 400, 5) == 397
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failing_slice_fails_the_probe(monkeypatch, failing):
+    """A slice's exception reaches the caller, never a partial count, and
+    every worker is joined first."""
+    run_slice = oracle._probe_mcs_slice
+    cuts = [0, 133, 266]
+
+    def flaky(adj, t, trials, seed, lo, hi):
+        if lo == cuts[failing]:
+            raise RuntimeError(f"slice from {lo}")
+        return run_slice(adj, t, trials, seed, lo, hi)
+    monkeypatch.setattr(oracle, "_probe_mcs_slice", flaky)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"slice from {cuts[failing]}$"):
+        randomized_endvertex_probe(_gadget().graph, K.MCS, 0, 400, 5)
+    assert threading.active_count() == before
 
 
 def test_generic_end_vertices_are_exactly_non_cut_vertices():
