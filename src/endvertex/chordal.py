@@ -13,7 +13,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, NotChordalError
-from .graph import Graph
+from .graph import Graph, _position_map
 
 
 def mcs_order(g: Graph, start: int = 0) -> list[int]:
@@ -94,18 +94,6 @@ def _mcs_pass(g: Graph, start: int = 0) -> McsPass:
         if peo and len(earlier) > 1:
             peo = len(adj[latest[v]].intersection(earlier)) == len(earlier) - 1
     return McsPass(order, peo, count, latest)
-
-
-def _position_map(order, n: int) -> list[int]:
-    """Inverse of a permutation, validating it is one (linear)."""
-    if len(order) != n:
-        raise ValueError("order is not a permutation of the vertex set")
-    pos = [-1] * n
-    for i, v in enumerate(order):
-        if not 0 <= v < n or pos[v] >= 0:
-            raise ValueError("order is not a permutation of the vertex set")
-        pos[v] = i
-    return pos
 
 
 def peo_violation(g: Graph, order) -> tuple[int, int, int] | None:

@@ -133,18 +133,7 @@ def parse_graph_text(text: str, source: str = "<input>") -> tuple[Graph, list[st
 
 
 def load_graph(path: str) -> tuple[Graph, list[str] | None]:
-    # The build allocates a few GC-tracked containers per vertex, none in a
-    # reference cycle, and each full collection would rescan the growing
-    # graph.  The collector's state is process-wide, so the CLI (which owns
-    # the process) pauses it rather than Graph, which serves any caller:
-    # `main` for the whole command, and this function for library callers.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return parse_graph_text(Path(path).read_text(encoding="utf-8"), source=path)
-    finally:
-        if enabled:
-            gc.enable()
+    return parse_graph_text(Path(path).read_text(encoding="utf-8"), source=path)
 
 
 def graph_to_text(g: Graph, names: list[str] | None = None) -> str:
@@ -437,8 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A query makes no reference cycles that grow with the graph, so the
-    # collector would only rescan it; pause it, as `load_graph` does.
+    # The build and the query allocate GC-tracked containers per vertex but
+    # no reference cycles that grow with the graph, so each full collection
+    # would only rescan it.  The collector's state is process-wide, so the
+    # CLI, which owns the process, pauses it for the whole command; the
+    # library, which serves any caller, does not.
     enabled = gc.isenabled()
     gc.disable()
     try:

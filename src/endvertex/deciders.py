@@ -23,7 +23,7 @@ from typing import Iterable
 
 from . import chordal
 from .errors import ClassMismatchError, DisconnectedGraphError, GuardExceededError
-from .graph import Graph, _chain_break, cut_vertices, is_connected, is_simplicial
+from .graph import Graph, _chain_break, _check_vertex, cut_vertices, is_connected, is_simplicial
 from .oracle import is_endvertex_exhaustive
 from .recognize import (
     CliqueOrder,
@@ -58,8 +58,7 @@ def decide_mns_chordal(g: Graph, t: int) -> bool:
 def _mns_chordal(g: Graph, t: int, cert, name_of=str) -> tuple[bool, str | None]:
     if not is_simplicial(g, t):
         return False, f"vertex {name_of(t)} is not simplicial"
-    # Equal separators collapse; the first occurrence keeps its place.
-    inside = list(dict.fromkeys(_outside_component_neighborhoods(g, t)))
+    inside = _outside_component_neighborhoods(g, t)
     pair = _chain_break(inside)
     if pair is None:
         return True, None
@@ -109,8 +108,8 @@ def decide_mcs_split(g: Graph, t: int) -> bool:
     """t is an MCS end-vertex of a connected split graph iff t is
     simplicial and the neighborhoods of all strictly lower-degree
     vertices form an inclusion chain.  `is_inclusion_chain`'s walk (a
-    counting sort by size plus stamps) keeps this O(n + m), the split
-    check included."""
+    counting sort by size, then one subset test per consecutive pair)
+    keeps this O(n + m), the split check included."""
     return _decide(g, t, "split", _mcs_split)
 
 
@@ -212,8 +211,8 @@ def hamiltonian_path(g: Graph, order: CliqueOrder, vertices: Iterable[int]) -> l
     keep = frozenset(vertices)
     if not keep:
         return []
-    _check_target(g, min(keep))
-    _check_target(g, max(keep))
+    _check_vertex(g, min(keep))
+    _check_vertex(g, max(keep))
     # Later cliques overwrite earlier ones: each vertex keeps its last.
     end = {v: (i, v) for i, c in enumerate(order.cliques) for v in c & keep}
     v = min(keep, key=end.__getitem__)
@@ -244,7 +243,7 @@ def mcs_interval_sufficient(g: Graph, order: CliqueOrder, t: int) -> Verdict:
         |C_i & C_{i+1}| <= |C_j & C_{j+1}| for all j > i
     hold in the given order or in its reverse.  UNKNOWN is not a
     negative answer."""
-    _check_target(g, t)
+    _check_vertex(g, t)
     if not validate_clique_order(g, order):
         raise ValueError("invalid clique order for this graph")
     return Verdict.YES if _mcs_interval(g, t, order)[0] else Verdict.UNKNOWN
@@ -388,7 +387,7 @@ def dispatch_endvertex(g: Graph, t: int, kind: SearchKind, class_hint: str | Non
     while answering, gates included.  Connectivity is checked once, here;
     the characterizations of `_ROUTES` trust it and the class.
     """
-    _check_target(g, t)
+    _check_vertex(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError("end-vertex dispatch requires a connected graph")
     holds, certs = _class_table(g, class_hint or "auto")
@@ -418,7 +417,7 @@ def _decide(g: Graph, t: int, cls: str, characterization) -> bool:
     (spelled as its messages print it) by its own `_RECOGNIZERS` row, so
     split and unit interval skip `holds`' chordal gate, and hands the
     certificate to `characterization`.  ClassMismatchError outside it."""
-    _check_target(g, t)
+    _check_vertex(g, t)
     if not is_connected(g):
         raise DisconnectedGraphError(f"{cls} decider requires a connected graph")
     holds, _ = _class_table(g)
@@ -426,11 +425,6 @@ def _decide(g: Graph, t: int, cls: str, characterization) -> bool:
     if cert is None:
         raise ClassMismatchError(f"graph is not {cls}")
     return characterization(g, t, cert)[0]
-
-
-def _check_target(g: Graph, t: int) -> None:
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
 
 
 def _fmt(s: frozenset, name_of=str) -> str:

@@ -8,7 +8,8 @@ read-only graphs are safe to use from concurrent callers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Collection, Iterable, Iterator, Sequence
+from itertools import pairwise
+from typing import AbstractSet, Collection, Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraphError
 
@@ -110,6 +111,23 @@ def from_lists(adj: list) -> Graph:
     return g
 
 
+def _check_vertex(g: Graph, v: int) -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+
+
+def _position_map(order, n: int) -> list[int]:
+    """Inverse of a permutation, validating it is one (linear)."""
+    if len(order) != n:
+        raise ValueError("order is not a permutation of the vertex set")
+    pos = [-1] * n
+    for i, v in enumerate(order):
+        if not 0 <= v < n or pos[v] >= 0:
+            raise ValueError("order is not a permutation of the vertex set")
+        pos[v] = i
+    return pos
+
+
 def is_simplicial(g: Graph, t: int) -> bool:
     """True iff the neighborhood of t induces a clique.
 
@@ -119,8 +137,7 @@ def is_simplicial(g: Graph, t: int) -> bool:
     the smaller of N(v) and N(t), so this runs in time linear in the sum
     of degrees over N(t), without a Python-level pass over a large N(v).
     """
-    if not 0 <= t < g.n:
-        raise ValueError(f"vertex {t} out of range")
+    _check_vertex(g, t)
     adj = g.adj
     marked = adj[t]
     want = len(marked) - 1
@@ -212,8 +229,7 @@ def induced_subgraph(g: Graph, vertices: Collection[int]) -> tuple[Graph, tuple[
     """
     keep = sorted(set(vertices))
     for v in keep:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+        _check_vertex(g, v)
     index = {old: new for new, old in enumerate(keep)}
     adj = [frozenset(index[w] for w in g.adj[old] if w in index) for old in keep]
     sub = Graph.__new__(Graph)
@@ -234,35 +250,25 @@ def complement(g: Graph) -> Graph:
 def is_inclusion_chain(sets: Sequence[Collection[int]]) -> bool:
     """True iff the given sets are totally ordered by inclusion.
 
-    Counting sort by cardinality (descending), then a single stamped
-    sweep verifying each set against its predecessor; time linear in the
-    total size of the input family.
+    Each collection stands for the set of its members, so a repeated
+    member counts once.  Time linear in the total size of the family.
     """
-    return _chain_break(sets) is None
+    return _chain_break([frozenset(s) for s in sets]) is None
 
 
-def _chain_break(sets: Sequence[Collection[int]]) -> tuple[int, int] | None:
-    """`is_inclusion_chain`'s walk: None when the sets form a chain,
+def _chain_break(sets: Sequence[AbstractSet[int]]) -> tuple[int, int] | None:
+    """`is_inclusion_chain`'s walk over sets: None when they form a chain,
     otherwise the indices (i, j) of the first consecutive pair of the walk
     that breaks it.  The walk takes the sets by falling size, equal sizes
-    in input order, so sets[j] is no larger than sets[i] and not inside
-    it: the two are inclusion-incomparable.  Each set is iterated at most
-    once, so the time is linear in the total size of the family."""
+    in input order (a counting sort), so sets[j] is no larger than sets[i]
+    and not inside it: the two are inclusion-incomparable.  Each test
+    `sets[j] <= sets[i]` reads only sets[j], so the time is O(total size
+    of the family)."""
     buckets: list[list[int]] = [[] for _ in range(max(map(len, sets), default=0) + 1)]
     for i, s in enumerate(sets):
         buckets[len(s)].append(i)
-    # stamp[x] = p + 1 when the set at step p of the walk holds x, so at
-    # step p a member of the previous set reads p, a repeated one p + 1.
-    stamp: dict[int, int] = {}
-    get = stamp.get
-    step = 0
-    prev = -1
-    for bucket in reversed(buckets):
-        for i in bucket:
-            for x in sets[i]:
-                if get(x, 0) < step:
-                    return prev, i
-                stamp[x] = step + 1
-            step += 1
-            prev = i
+    walk = [i for bucket in reversed(buckets) for i in bucket]
+    for i, j in pairwise(walk):
+        if not sets[j] <= sets[i]:
+            return i, j
     return None

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import chordal
-from .chordal import McsPass, _clique_walk, _position_map, maximal_cliques_chordal
+from .chordal import McsPass, _clique_walk, maximal_cliques_chordal
 from .errors import DisconnectedGraphError
-from .graph import Graph
+from .graph import Graph, _check_vertex, _position_map
 from .search import SearchKind, _refine_picks
 
 
@@ -313,9 +313,7 @@ def unit_interval_order_ending_at(g: Graph, t: int) -> list[int] | None:
     unit interval graph has one order of its twin blocks up to reversal
     (Roberts 1971).  So t ends some order iff its block ends its run in
     the recognized one.  Linear apart from the sweeps."""
-    n = g.n
-    if not 0 <= t < n:
-        raise ValueError(f"vertex {t} out of range")
+    _check_vertex(g, t)
     order = recognize_unit_interval(g)
     if order is None:
         return None
@@ -323,7 +321,7 @@ def unit_interval_order_ending_at(g: Graph, t: int) -> list[int] | None:
     lo = hi = order.index(t)
     while lo and order[lo - 1] in adj[order[lo]]:
         lo -= 1
-    while hi + 1 < n and order[hi + 1] in adj[order[hi]]:
+    while hi + 1 < g.n and order[hi + 1] in adj[order[hi]]:
         hi += 1
     run = order[lo:hi + 1]
     closed = adj[t] | {t}

@@ -55,9 +55,8 @@ from enum import Enum
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterator, Sequence
 
-from .chordal import _position_map
 from .errors import DisconnectedGraphError
-from .graph import Graph, is_connected
+from .graph import Graph, _position_map, is_connected
 
 
 class SearchKind(Enum):

@@ -37,7 +37,7 @@ from endvertex import (
     maximal_cliques_chordal,
     recognize_chordal,
 )
-from endvertex.chordal import _position_map
+from endvertex.graph import _position_map
 from endvertex.graph import is_connected
 from endvertex.oracle import SET_STATE_KINDS, _check_entry, _orders
 from endvertex import reduction

@@ -347,6 +347,7 @@ def _best_time(fn, repeats: int) -> float:
     return best
 
 
+@pytest.mark.wallclock
 def test_criterion_11_linear_time_contracts():
     """Runtime ratio between n=1e5 and n=1e6 class-appropriate instances
     stays below 15x for the four linear deciders (CI-tolerant bound for

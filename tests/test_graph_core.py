@@ -152,6 +152,8 @@ def test_inclusion_chain_examples():
     # A member repeated inside one collection does not break the walk.
     assert is_inclusion_chain([[1, 1]])
     assert is_inclusion_chain([[2, 2], [1, 2, 3]])
+    assert is_inclusion_chain([[1, 1], [1, 2]])
+    assert is_inclusion_chain([(1, 1, 1, 1), (1, 2)])
 
 
 def test_inclusion_chain_matches_bruteforce():

@@ -24,7 +24,7 @@ from endvertex import (
     validate_clique_order,
     validate_split_partition,
 )
-from endvertex.chordal import _position_map
+from endvertex.graph import _position_map
 from endvertex.recognize import _lbfs
 from reference import (
     enumerate_clique_orders,

@@ -452,6 +452,7 @@ def test_run_search_and_validate_order_never_replay(monkeypatch):
             assert (order, validate_order(kind, g, order[::-1])) == expected[i, kind]
 
 
+@pytest.mark.wallclock
 def test_linear_engines_double_when_n_doubles():
     """Best of 3 `run_search` + `validate_order` times on window graphs at
     most triple from n = 2e4 to 4e4 (a quadratic engine gives about 4).
@@ -486,6 +487,7 @@ def _with_universal_vertex(g):
     return Graph.from_edges(g.n, [*g.edges(), *((hub, v) for v in range(g.n) if v != hub)])
 
 
+@pytest.mark.wallclock
 def test_mns_doubles_when_n_doubles_on_sparse_graphs():
     """Best of 3 MNS `run_search` + `validate_order` times at most triple
     from n = 2000 to 4000 on random sparse graphs with average degree 5
@@ -537,6 +539,7 @@ def test_mns_tops_heap_stays_within_twice_the_maxima():
     assert count == g.n and worst > 1.5, (count, worst)
 
 
+@pytest.mark.wallclock
 def test_recognizers_double_when_n_doubles():
     """Best of 3 `recognize_interval` and `recognize_unit_interval` times at
     most triple from n = 2e4 to 4e4, on window graphs (accepted) and on a
