@@ -24,7 +24,13 @@ is one comparison:
 Once no unvisited vertex has a visited neighbor (a disconnected graph),
 Generic, BFS and DFS have nothing eligible, while under the other four
 every label is empty, hence maximal, and every unvisited vertex is
-eligible.
+eligible.  `validate_order` and the recognizers' LBFS sweeps follow
+these rules across components.  `run_search` requires a connected graph
+and runs no check of its own for it: its engines stop at that point
+under every kind, so an order shorter than n proves the graph
+disconnected.  Only when a bad start or policy is about to be reported
+does it check connectivity, so that a disconnected graph is reported
+first.
 
 A tie-break policy ranks the vertices; `run_search` always visits the
 eligible vertex of least rank, and `validate_order` is the same run with
@@ -120,8 +126,10 @@ class FixedPreference(TieBreakPolicy):
     preference: tuple[int, ...]
 
     def priority(self, n):
-        last = {v: i for i, v in enumerate(self.preference)}
-        return [v for i, v in enumerate(self.preference) if last[v] == i and v in range(n)]
+        ranked = list(dict.fromkeys(reversed(self.preference)))  # each key at its last position
+        ranked.reverse()
+        within = range(n)
+        return [v for v in ranked if v in within]
 
 
 LOWEST_ID = LowestId()
@@ -247,22 +255,32 @@ def run_search(kind: SearchKind, g: Graph, start: int | None = None,
     Deterministic whenever the policy is.  The optional fixed start only
     forces the first vertex; with no start, the policy chooses it from
     all vertices (every vertex is eligible at an empty prefix).
+
+    Raises DisconnectedGraphError on a disconnected graph, before any
+    error about the start or the policy; the engine finds it on its own,
+    as the module docstring explains.
     """
     n = g.n
     if n == 0:
         return []
-    if not is_connected(g):
+    try:
+        if start is not None and not 0 <= start < n:
+            raise ValueError(f"start vertex {start} out of range")
+        by_rank = policy.priority(n)
+        if len(by_rank) < n:
+            # Every vertex but a fixed start is picked from an eligible set once.
+            if set(range(n)).difference(by_rank, (start,)):
+                raise ValueError("preference ordering does not cover the eligible set")
+            by_rank.append(start)
+        rank = _position_map(by_rank, n)
+    except Exception:
+        if not is_connected(g):
+            raise DisconnectedGraphError(f"{kind.value} search requires a connected graph") from None
+        raise
+    order = list(_picks(kind, g, by_rank, rank, by_rank[0] if start is None else start, stall=True))
+    if len(order) < n:
         raise DisconnectedGraphError(f"{kind.value} search requires a connected graph")
-    if start is not None and not 0 <= start < n:
-        raise ValueError(f"start vertex {start} out of range")
-    by_rank = policy.priority(n)
-    if len(by_rank) < n:
-        # Every vertex but a fixed start is picked from an eligible set once.
-        if set(range(n)).difference(by_rank, (start,)):
-            raise ValueError("preference ordering does not cover the eligible set")
-        by_rank.append(start)
-    rank = _position_map(by_rank, n)
-    return list(_picks(kind, g, by_rank, rank, by_rank[0] if start is None else start))
+    return order
 
 
 def validate_order(kind: SearchKind, g: Graph, order: Sequence[int]) -> tuple[bool, int | None]:
@@ -287,25 +305,29 @@ def validate_order(kind: SearchKind, g: Graph, order: Sequence[int]) -> tuple[bo
 
 # ---------------------------------------------------------------------------
 # Engines: each visits `first`, then always the eligible vertex of least
-# rank, and stops early where nothing is eligible.
+# rank, and stops early where nothing is eligible.  With `stall`, all
+# seven stop where Generic, BFS and DFS do: once no unvisited vertex has
+# a visited neighbour, which on a connected graph means none is left.
 
 
 def _picks(kind: SearchKind, g: Graph, by_rank: Sequence[int], rank: list[int],
-           first: int) -> Iterator[int]:
+           first: int, stall: bool = False) -> Iterator[int]:
     if kind is SearchKind.GENERIC or kind is SearchKind.MCS:
-        return _count_picks(g.adj, rank, by_rank, first, mcs=kind is SearchKind.MCS)
-    return _refine_picks(g.adj, rank, by_rank, first, kind)
+        return _count_picks(g.adj, rank, by_rank, first, kind is SearchKind.MCS, stall)
+    return _refine_picks(g.adj, rank, by_rank, first, kind, stall)
 
 
 def _count_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
-                 mcs: bool) -> Iterator[int]:
+                 mcs: bool, stall: bool = False) -> Iterator[int]:
     """One heap of ranks per visited-neighbour count, read at the highest
-    count; Generic search caps counts at 1 and never picks a count of 0.  An
-    entry is stale once its vertex is visited or counts more."""
+    count; Generic search caps counts at 1 and never picks a count of 0,
+    nor does MCS with `stall`.  An entry is stale once its vertex is
+    visited or counts more."""
     n = len(adj)
     cap = n if mcs else 1
     count = [0] * n  # -1 once visited
     heaps = [list(range(n)) if mcs else []]  # a sorted list is a heap
+    floor = 0 if mcs and not stall else 1  # the least count picked
     best = 0
     v = first
     while True:
@@ -320,7 +342,7 @@ def _count_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
                 heappush(heaps[c], rank[w])
                 if c > best:
                     best = c
-        while best >= 0:
+        while best >= floor:
             heap = heaps[best]
             while heap and count[by_rank[heap[0]]] != best:
                 heappop(heap)
@@ -333,7 +355,7 @@ def _count_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
 
 
 def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
-                  kind: SearchKind) -> Iterator[int]:
+                  kind: SearchKind, stall: bool = False) -> Iterator[int]:
     """Partition refinement (Habib, McConnell, Paul and Viennot 2000; Corneil
     and Krueger 2008) on one linked list of the unvisited vertices: the
     classes of equal label are runs of it, largest label first and each in
@@ -355,7 +377,8 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
     before it.  A visit sorts only if it moves two or more vertices, so
     O(n + m log Δ).  BFS and DFS stop once the head is unreached: no
     unvisited vertex has a visited neighbour.  LBFS and LDFS see every
-    label maximal then, so they go on to the next component.
+    label maximal then, so they go on to the next component, unless
+    `stall` stops them there too (and MNS once it would pick class 0).
 
     MNS refines like LBFS, so each class is the group of one label, the set
     of its visited neighbours (`lab`, dropped once the class is empty), and
@@ -364,10 +387,14 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
     over them.  The labels of the classes a visit of v makes are their old
     classes' plus v, so the maximal ones among them join the maxima, and an
     old maximum survives unless some of its members moved (their new label
-    contains it).  If v leaves its own class empty, a label inside v's may
-    become maximal.  Each such class was made at the visit of its label's
-    latest vertex, a visited neighbour x of v, so only the live classes
-    made at those visits (`born`) are looked at.  A label L is maximal iff
+    contains it).  A class made from a maximum L_a is maximal itself: a
+    label strictly containing L_a + v holds v, so it is L_c + v for a class
+    c made now, and L_c would strictly contain L_a.  Only the other made
+    classes are tested, against the made maxima.  If v leaves its own
+    class empty, a label inside v's may become maximal.  Each such class
+    was made at the visit of its label's latest vertex, a visited
+    neighbour x of v, so only the live classes made at those visits
+    (`born`) are looked at.  A label L is maximal iff
     no label in N(x) strictly contains it, for any x in L, since every
     label holding x belongs to an unvisited neighbour of x: the x with the
     fewest unvisited neighbours (`left`) is scanned, unless they all hold L
@@ -393,7 +420,7 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
     lex = kind is SearchKind.LBFS or kind is SearchKind.LDFS or mns
     depth = kind is SearchKind.DFS or kind is SearchKind.LDFS
     fresh = kind is SearchKind.BFS  # only unreached neighbours move
-    floor = 0 if lex else 1  # the least class the head may hold: BFS and DFS stall at 0
+    floor = 0 if lex and not stall else 1  # the least class picked: BFS and DFS stall at 0
     cls = [0] * n + [-1]  # -1 once visited, and for the sentinel
     head = [by_rank[0]]
     if mns:
@@ -457,8 +484,9 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
         if nbrs:
             bit = {v}
             new = born[v] = range(made, len(head))
+            kept, rest = [], []  # made from a maximum, or not
             i = 0
-            for _ in new:  # each made class's group is the next run of olds
+            for d in new:  # each made class's group is the next run of olds
                 old = olds[i]
                 k = bisect_right(olds, old, i) - i
                 i += k
@@ -467,8 +495,12 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
                 size[old] -= k
                 if not size[old]:
                     lab[old] = None
-                maxima.discard(old)  # the new label contains it
-            for d in _maximal(new, lab) if len(new) > 1 else new:  # only labels holding v can contain these
+                if old in maxima:  # the new label contains it, and is maximal in turn
+                    maxima.discard(old)
+                    kept.append(d)
+                else:
+                    rest.append(d)
+            for d in _maximal(rest, lab, kept) if rest else kept:  # only labels holding v can contain these
                 maxima.add(d)
                 heappush(tops, (rank[head[d]], d))
         if lab[own] is not None and not size[own]:  # v was the last of its class
@@ -498,6 +530,8 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
             heapreplace(tops, (rank[v], d))
         else:
             return
+        if d < floor:
+            return
 
 
 def _maximal_at(d: int, adj, cls: list[int], lab: list, left: list[int], size: list[int]) -> bool:
@@ -516,9 +550,10 @@ def _maximal_at(d: int, adj, cls: list[int], lab: list, left: list[int], size: l
     return True
 
 
-def _maximal(classes, lab: list) -> list[int]:
-    """The classes whose label no other label among them strictly contains."""
-    out: list[int] = []
+def _maximal(classes, lab: list, out: list[int]) -> list[int]:
+    """`out`, classes of maximal label, extended by those of `classes` whose
+    label no label in it strictly contains, tested largest first: a label
+    inside another made one is then inside a maximal one found before it."""
     for d in sorted(classes, key=lambda d: len(lab[d]), reverse=True):
         label = lab[d]
         for top in out:

@@ -62,6 +62,14 @@ def reference_picker(policy):
     raise TypeError(f"no reference picker for {policy!r}")
 
 
+def reference_priority(preference, n):
+    """`FixedPreference.priority` as a comprehension over the last
+    position of each vertex: the in-range vertices by their last
+    position, each as the object standing there."""
+    last = {v: i for i, v in enumerate(preference)}
+    return [v for i, v in enumerate(preference) if last[v] == i and v in range(n)]
+
+
 def reference_run_search(kind, g, start=None, policy=LowestId()):
     n = g.n
     if n == 0:

@@ -23,7 +23,7 @@ from endvertex import (
     validate_order,
 )
 from endvertex.search import SearchReplay, _refine_picks
-from reference import reference_run_search, reference_validate_order
+from reference import reference_priority, reference_run_search, reference_validate_order
 
 K = SearchKind
 ALL_KINDS = list(SearchKind)
@@ -96,6 +96,71 @@ def test_run_search_policies():
 def test_run_search_requires_connected():
     with pytest.raises(DisconnectedGraphError):
         run_search(K.BFS, Graph.from_edges(3, [(0, 1)]))
+
+
+def _three_policies(rng, n):
+    return (LOWEST_ID, SeededRandom(rng.getrandbits(32)), FixedPreference(tuple(rng.sample(range(n), n))))
+
+
+def test_run_search_on_a_connected_graph_never_checks_connectivity(monkeypatch):
+    """The engines' own stall proves connectivity, so a successful
+    `run_search` runs no separate connectivity check: every kind, under
+    lowest id, seeded random and fixed preference policies, with free and
+    fixed starts."""
+    def refuse(g):
+        raise AssertionError("is_connected called")
+
+    rng = random.Random(3014)
+    graphs = [fx.rand_connected_graph(rng, rng.randint(1, 40)) for _ in range(12)]
+    graphs += [fx.path(30), fx.star(12), fx.window(50), fx.rand_chordal(rng, 60)]
+    monkeypatch.setattr("endvertex.search.is_connected", refuse)
+    for g in graphs:
+        for kind in ALL_KINDS:
+            for policy in _three_policies(rng, g.n):
+                for start in (None, rng.randrange(g.n)):
+                    order = run_search(kind, g, start=start, policy=policy)
+                    assert sorted(order) == list(range(g.n))
+
+
+def test_every_kind_reports_a_second_component():
+    """On graphs of two connected parts (n = 12-30, ids shuffled), every
+    kind raises the same DisconnectedGraphError whether the start is free
+    or lies in either part, and still reports the gap before a bad start
+    or a preference that does not cover the graph."""
+    rng = random.Random(3015)
+    for _ in range(20):
+        n = rng.randint(12, 30)
+        cut = rng.randint(1, n - 1)
+        ids = rng.sample(range(n), n)
+        edges = [(ids[u], ids[w]) for u, w in fx.rand_connected_graph(rng, cut).edges()]
+        edges += [(ids[cut + u], ids[cut + w]) for u, w in fx.rand_connected_graph(rng, n - cut).edges()]
+        g = Graph.from_edges(n, edges)
+        starts = (None, ids[rng.randrange(cut)], ids[rng.randrange(cut, n)])
+        for kind in ALL_KINDS:
+            message = f"^{kind.value} search requires a connected graph$"
+            for policy in _three_policies(rng, n):
+                for start in starts:
+                    with pytest.raises(DisconnectedGraphError, match=message):
+                        run_search(kind, g, start=start, policy=policy)
+            with pytest.raises(DisconnectedGraphError, match=message):
+                run_search(kind, g, start=n)
+            with pytest.raises(DisconnectedGraphError, match=message):
+                run_search(kind, g, policy=FixedPreference(tuple(ids[1:])))
+
+
+def test_fixed_preference_priority_matches_the_last_position_comprehension():
+    """`FixedPreference.priority` against the comprehension it replaced, on
+    random preferences with repeats, out-of-range ints and equal keys such
+    as 1, True and 1.0: the same vertices in the same order, each the very
+    object at its last position."""
+    rng = random.Random(3016)
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        pool = list(range(-2, n + 3)) + [True, False, 1.0, 0.0, 2.0, float(n)]
+        preference = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3 * n + 3)))
+        got = FixedPreference(preference).priority(n)
+        want = reference_priority(preference, n)
+        assert got == want and all(a is b for a, b in zip(got, want)), (preference, n)
 
 
 def test_replay_soundness_all_kinds():
@@ -353,6 +418,31 @@ def test_engines_match_the_replay_reference():
                 assert _outcome(validate_order, kind, g, order) == \
                     _outcome(reference_validate_order, kind, g, order), \
                     (trial, kind, order, sorted(g.edges()))
+
+
+def test_mns_engine_matches_the_reference_on_dense_graphs():
+    """MNS `run_search` and `validate_order` against the replay reference
+    on G(n, 1/2) with n = 24-40, where one visit makes many classes, some
+    from maximal labels and some not.  Lowest and highest id and a fixed
+    preference each run with a free start and a fixed one; each order is validated as is, with a
+    later vertex planted at a random position, and shuffled."""
+    rng = random.Random(3017)
+    for trial in range(40):
+        n = rng.randint(24, 40)
+        g = fx.rand_connected_graph(rng, n, 0.5)
+        orders = []
+        for policy in (LOWEST_ID, HIGHEST_ID, FixedPreference(tuple(rng.sample(range(n), n)))):
+            for start in (None, rng.randrange(n)):
+                order = run_search(K.MNS, g, start=start, policy=policy)
+                assert order == reference_run_search(K.MNS, g, start=start, policy=policy), \
+                    (trial, policy, start)
+                orders.append(order)
+        for order in orders[::2]:
+            planted = order[:]
+            p = rng.randrange(1, n - 1)
+            planted.insert(p, planted.pop(rng.randrange(p + 1, n)))
+            for o in (order, planted, rng.sample(range(n), n)):
+                assert validate_order(K.MNS, g, o) == reference_validate_order(K.MNS, g, o), (trial, o)
 
 
 def _disconnected_graph(rng, n):
