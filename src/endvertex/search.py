@@ -500,7 +500,7 @@ def _refine_picks(adj, rank: list[int], by_rank: Sequence[int], first: int,
                     kept.append(d)
                 else:
                     rest.append(d)
-            for d in _maximal(rest, lab, kept) if rest else kept:  # only labels holding v can contain these
+            for d in _maximal(rest, lab, kept):  # only labels holding v can contain these
                 maxima.add(d)
                 heappush(tops, (rank[head[d]], d))
         if lab[own] is not None and not size[own]:  # v was the last of its class

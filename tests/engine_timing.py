@@ -3,7 +3,6 @@
 Usage, from the root of a checkout:
 
     python3 tests/engine_timing.py [--reps N] [--sizes 300,1000,100000]
-                                   [--dense-sizes 300,500]
                                    [--against CHECKOUT] [kind ...]
 
 It imports `endvertex` from that checkout's `src/`, so running it on two
@@ -15,10 +14,11 @@ repetition on both trees in turn, alternating which goes first.  The
 name has no `test_` prefix: pytest does not collect it.
 
 Graphs, one per family and size, from fixed seeds: a window of width 3,
-`rand_sparse_connected` with average degree 5, `rand_chordal` with
-q = 0.5 and, at the dense sizes only, `rand_connected_graph` with
-p = 0.5 (G(n, 1/2), where one MNS visit makes many classes).  Both trees search the same adjacency sets.  Kinds default to
-the five that `_refine_picks` serves: BFS, DFS, LBFS, LDFS and MNS.
+`rand_sparse_connected` with average degree 5 and `rand_chordal` with
+q = 0.5, each at `--sizes`, and `rand_connected_graph` with p = 0.5
+(G(n, 1/2), where one MNS visit makes many classes) at n = 300 and 500
+only.  Both trees search the same adjacency sets.  Kinds default to the
+five that `_refine_picks` serves: BFS, DFS, LBFS, LDFS and MNS.
 Printed, one line per family, size and kind: the best of N repetitions
 (default 5) of one `run_search` and one `validate_order` of its order,
 in CPU milliseconds, with identity ranks (`LowestId`) and with random
@@ -44,11 +44,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import endvertex  # noqa: E402
 import fixtures as fx  # noqa: E402  (the script's own directory is on sys.path)
 
-FAMILIES = {
-    "window": lambda rng, n: fx.window(n),
-    "sparse": lambda rng, n: fx.rand_sparse_connected(rng, n, 5),
-    "chordal": lambda rng, n: fx.rand_chordal(rng, n, 0.5),
-    "dense": lambda rng, n: fx.rand_connected_graph(rng, n, 0.5),
+FAMILIES = {  # name: (build, sizes), where None means `--sizes`
+    "window": (lambda rng, n: fx.window(n), None),
+    "sparse": (lambda rng, n: fx.rand_sparse_connected(rng, n, 5), None),
+    "chordal": (lambda rng, n: fx.rand_chordal(rng, n, 0.5), None),
+    "dense": (lambda rng, n: fx.rand_connected_graph(rng, n, 0.5), (300, 500)),  # n^2 / 4 edges
 }
 
 
@@ -94,7 +94,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--sizes", default="300,1000,100000")
-    parser.add_argument("--dense-sizes", default="300,500", help="sizes of the dense family")
     parser.add_argument("--against", type=Path, metavar="CHECKOUT",
                         help="also time the endvertex package under CHECKOUT/src, interleaved")
     parser.add_argument("kinds", nargs="*", default=["bfs", "dfs", "lbfs", "ldfs", "mns"])
@@ -107,9 +106,8 @@ def main() -> None:
     print(header)
     gc.collect()
     gc.disable()
-    for family, build in FAMILIES.items():
-        sizes = args.dense_sizes if family == "dense" else args.sizes
-        for n in map(int, sizes.split(",")):
+    for family, (build, sizes) in FAMILIES.items():
+        for n in sizes or map(int, args.sizes.split(",")):
             g = build(random.Random(2201 + n), n)
             runs = [(endvertex, g)]
             if other is not None:

@@ -2,11 +2,10 @@
 
 Usage, from the root of a checkout:
 
-    python3 tests/search_orders_timing.py [--seeds 1,2,3,4] [--cycles 24]
-                                          [--against CHECKOUT]
+    python3 tests/search_orders_timing.py [--against CHECKOUT]
 
-Each seed builds the workload with `perfbench/search_orders.py`'s own
-`setup` and runs its query pool for the given number of cycles.  A query
+Each of seeds 1-4 builds the workload with `perfbench/search_orders.py`'s
+own `setup` and runs its query pool for 24 cycles.  A query
 times what that workload times: one `run_search`, its validation under
 its own kind and under the kind above it, and the validation of an order
 with a violation planted by the workload's `plant_violation` (the
@@ -40,6 +39,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from engine_timing import endvertex, load_tree  # noqa: E402  (puts this tree's src/ first)
 from search_orders import ABOVE, POOL_CYCLES, plant_violation, setup  # noqa: E402
+
+SEEDS = (1, 2, 3, 4)
+CYCLES = 24
 
 
 class Side:
@@ -94,8 +96,6 @@ def run_seed(seed: int, cycles: int, trees: list) -> list[Side]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="1,2,3,4")
-    parser.add_argument("--cycles", type=int, default=24)
     parser.add_argument("--against", type=Path, metavar="CHECKOUT",
                         help="also time the endvertex package under CHECKOUT/src, interleaved")
     args = parser.parse_args()
@@ -106,8 +106,8 @@ def main() -> None:
     if len(trees) > 1:
         header += f"  {'against ms':>10} {'queries/s':>10}  {'digest':12}  ratio  wins"
     print(header)
-    for seed in map(int, args.seeds.split(",")):
-        sides = run_seed(seed, args.cycles, trees)
+    for seed in SEEDS:
+        sides = run_seed(seed, CYCLES, trees)
         line = f"{seed:4}"
         for gap, width, side in zip((" ", "  "), (9, 10), sides):
             line += (f"{gap}{statistics.median(side.cycles) * 1e3:{width}.1f}"

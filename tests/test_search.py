@@ -122,32 +122,6 @@ def test_run_search_on_a_connected_graph_never_checks_connectivity(monkeypatch):
                     assert sorted(order) == list(range(g.n))
 
 
-def test_every_kind_reports_a_second_component():
-    """On graphs of two connected parts (n = 12-30, ids shuffled), every
-    kind raises the same DisconnectedGraphError whether the start is free
-    or lies in either part, and still reports the gap before a bad start
-    or a preference that does not cover the graph."""
-    rng = random.Random(3015)
-    for _ in range(20):
-        n = rng.randint(12, 30)
-        cut = rng.randint(1, n - 1)
-        ids = rng.sample(range(n), n)
-        edges = [(ids[u], ids[w]) for u, w in fx.rand_connected_graph(rng, cut).edges()]
-        edges += [(ids[cut + u], ids[cut + w]) for u, w in fx.rand_connected_graph(rng, n - cut).edges()]
-        g = Graph.from_edges(n, edges)
-        starts = (None, ids[rng.randrange(cut)], ids[rng.randrange(cut, n)])
-        for kind in ALL_KINDS:
-            message = f"^{kind.value} search requires a connected graph$"
-            for policy in _three_policies(rng, n):
-                for start in starts:
-                    with pytest.raises(DisconnectedGraphError, match=message):
-                        run_search(kind, g, start=start, policy=policy)
-            with pytest.raises(DisconnectedGraphError, match=message):
-                run_search(kind, g, start=n)
-            with pytest.raises(DisconnectedGraphError, match=message):
-                run_search(kind, g, policy=FixedPreference(tuple(ids[1:])))
-
-
 def test_fixed_preference_priority_matches_the_last_position_comprehension():
     """`FixedPreference.priority` against the comprehension it replaced, on
     random preferences with repeats, out-of-range ints and equal keys such
@@ -391,13 +365,16 @@ def test_engines_match_the_replay_reference():
     """`run_search` and `validate_order` against the step-by-step replay
     they replaced: orders, verdicts, exception types and messages, on
     random graphs (40 % drawn without a spanning tree, so often
-    disconnected), every kind, lowest/highest id and full and partial
-    preferences (with repeats and out-of-range entries), fixed starts in
-    and out of range, and valid, random and non-permutation orders."""
+    disconnected, then 40 of two connected parts with n = 12-30), every
+    kind, lowest/highest id and full and partial preferences (with repeats
+    and out-of-range entries), fixed starts in and out of range, and
+    valid, random and non-permutation orders."""
     rng = random.Random(3007)
-    for trial in range(500):
-        n = rng.randint(1, 9)
-        if trial % 5 < 2:
+    for trial in range(540):
+        n = rng.randint(1, 9) if trial < 500 else rng.randint(12, 30)
+        if trial >= 500:
+            g = _disconnected_graph(rng, n, parts=2)
+        elif trial % 5 < 2:
             p = rng.uniform(0.0, 0.6)
             g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
                                      if rng.random() < p])
@@ -445,9 +422,10 @@ def test_mns_engine_matches_the_reference_on_dense_graphs():
                 assert validate_order(K.MNS, g, o) == reference_validate_order(K.MNS, g, o), (trial, o)
 
 
-def _disconnected_graph(rng, n):
-    """Two to four random parts side by side, vertex ids shuffled."""
-    parts, edges, base = rng.randint(2, 4), [], 0
+def _disconnected_graph(rng, n, parts=None):
+    """`parts` (by default two to four) random parts side by side, vertex
+    ids shuffled."""
+    parts, edges, base = parts or rng.randint(2, 4), [], 0
     cuts = sorted(rng.sample(range(1, n), parts - 1)) + [n]
     ids = rng.sample(range(n), n)
     for end in cuts:
